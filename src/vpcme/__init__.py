@@ -5,7 +5,6 @@ majority-vote prediction, plus an evaluation harness."""
 
 __version__ = "0.1.0"
 
-from ._kernels import active_backend
 from .constraints import (
     ConstraintConfig,
     PairConstraintSets,

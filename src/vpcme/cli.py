@@ -14,7 +14,6 @@ import time
 import numpy as np
 
 from . import __version__
-from ._kernels import active_backend
 from .dataset import MultiLabelDataset, compute_stats, load_csv
 from .ensemble import load_model, predict_ensemble, save_model
 from .errors import CsvFormatError, VpcmeError
@@ -33,6 +32,8 @@ from .harness import (
 )
 
 REPORT_SCHEMA = "vpcme-report/1"
+# vpcme-report/1 names the kernel backend; numpy is the only one
+REPORT_BACKEND = "numpy"
 
 
 def _add_common(parser, method=True):
@@ -131,7 +132,7 @@ def _document(command: str, config: dict, body: dict) -> dict:
         "schema": REPORT_SCHEMA,
         "command": command,
         "version": __version__,
-        "backend": active_backend(),
+        "backend": REPORT_BACKEND,
         "config": config,
     }
     doc.update(body)

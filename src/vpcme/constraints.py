@@ -119,13 +119,11 @@ def sample_constraints(
         raise ConfigError("constraint sampling needs at least 2 instances")
     w = _check_weights(weights, n)
     uniforms = rng.random(2 * cfg.max_attempts)
-    labels = np.ascontiguousarray(ds.labels, dtype=np.uint8)
-    sizes = labels.sum(axis=1).astype(np.int64)
     must, cannot = _kernels.route_pairs(
         np.cumsum(w),
         uniforms,
-        labels,
-        sizes,
+        ds.labels,
+        ds.labels.sum(axis=1),
         cfg.theta,
         cfg.target_must,
         cfg.target_cannot,

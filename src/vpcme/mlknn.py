@@ -7,7 +7,7 @@ the smoothed priors with the smoothed count likelihoods into a posterior
 probability per label.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,11 @@ class MlknnModel:
     prior_pos: np.ndarray
     freq_pos: np.ndarray
     freq_neg: np.ndarray
+    # Each training row's k nearest training rows, itself included: the
+    # neighbors posterior_scores would search for the training rows. Set by
+    # fit_mlknn so that scoring the training set needs no second search;
+    # None for a model rebuilt from its saved arrays.
+    train_neighbors: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         points = np.ascontiguousarray(self.train_points, dtype=np.float64)
@@ -52,6 +57,12 @@ class MlknnModel:
                           (prior, "prior_pos"), (fpos, "freq_pos"), (fneg, "freq_neg")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if self.train_neighbors is not None:
+            table = np.ascontiguousarray(self.train_neighbors, dtype=np.int64)
+            if table.shape != (n, k):
+                raise ValidationError("train_neighbors must have shape (instances, k)")
+            table.setflags(write=False)
+            object.__setattr__(self, "train_neighbors", table)
 
     @property
     def dim(self) -> int:
@@ -86,7 +97,7 @@ def fit_mlknn(points, labels, k_neighbors: int = DEFAULT_K,
     if s <= 0.0:
         raise ConfigError("smoothing must be positive")
 
-    neighbors = _kernels.knn_exclude_self(points, k)
+    neighbors, distances = _kernels.knn(points, points, k, exclude_self=True)
     counts = labels[neighbors].sum(axis=1)  # (n, r) positives among each row's neighbors
     prior_pos = (s + labels.sum(axis=0)) / (2.0 * s + n)
     freq_pos = np.zeros((r, k + 1), dtype=np.int64)
@@ -103,7 +114,23 @@ def fit_mlknn(points, labels, k_neighbors: int = DEFAULT_K,
         prior_pos=prior_pos,
         freq_pos=freq_pos,
         freq_neg=freq_neg,
+        train_neighbors=_with_self(neighbors, distances),
     )
+
+
+def _with_self(neighbors, distances):
+    """Self-included neighbor table derived from the self-excluded one.
+
+    Row i enters its own list at distance 0, after any lower-index exact
+    duplicate, and the k-th excluded neighbor drops out: the list a search
+    of the training rows as plain queries would return.
+    """
+    n, k = neighbors.shape
+    rows = np.arange(n)[:, None]
+    place = np.count_nonzero((distances == 0.0) & (neighbors < rows), axis=1)[:, None]
+    slot = np.arange(k)[None, :]
+    shifted = np.concatenate([neighbors[:, :1], neighbors[:, :-1]], axis=1)
+    return np.where(slot < place, neighbors, np.where(slot == place, rows, shifted))
 
 
 def _as_queries(model: MlknnModel, query):
@@ -119,7 +146,10 @@ def _as_queries(model: MlknnModel, query):
 def posterior_scores(model: MlknnModel, query) -> np.ndarray:
     """Posterior probability of each label for one query or a query matrix."""
     q, single = _as_queries(model, query)
-    neighbors = _kernels.knn_query(model.train_points, q, model.k_neighbors)
+    if model.train_neighbors is not None and np.array_equal(q, model.train_points):
+        neighbors = model.train_neighbors  # the training rows: reuse the fit's search
+    else:
+        neighbors, _ = _kernels.knn(model.train_points, q, model.k_neighbors)
     c = model.train_labels[neighbors].sum(axis=1)  # (m, r)
     s = model.smoothing
     k = model.k_neighbors

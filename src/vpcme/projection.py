@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .constraints import PairConstraintSets
 from .dataset import MultiLabelDataset
 from .errors import ValidationError
-
-JACOBI_TOL = 1e-10
-JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -104,7 +100,7 @@ def scaling_coefficient(ds: MultiLabelDataset, sets: PairConstraintSets) -> floa
 
 
 def symmetric_eigen(a) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a symmetric matrix (LAPACK, via ``eigh``).
 
     Eigenvalues come back sorted descending (stable under ties) and each
     eigenvector's first largest-magnitude component is made positive so
@@ -115,14 +111,13 @@ def symmetric_eigen(a) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] and np.max(np.abs(a - a.T)) > 1e-8:
         raise ValidationError("matrix is not symmetric within 1e-8")
-    diag, vectors = _kernels.jacobi_eigh(a, JACOBI_TOL, JACOBI_MAX_SWEEPS)
-    order = np.argsort(-diag, kind="stable")
-    values = diag[order]
+    ascending, vectors = np.linalg.eigh(a)
+    order = np.argsort(-ascending, kind="stable")
+    values = ascending[order]
     vectors = vectors[:, order]
-    for col in range(vectors.shape[1]):
-        lead = int(np.argmax(np.abs(vectors[:, col])))
-        if vectors[lead, col] < 0.0:
-            vectors[:, col] = -vectors[:, col]
+    if vectors.size:
+        lead = np.argmax(np.abs(vectors), axis=0)
+        vectors[:, vectors[lead, np.arange(vectors.shape[1])] < 0.0] *= -1.0
     return values, vectors
 
 

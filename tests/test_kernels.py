@@ -1,94 +1,200 @@
-"""Both kernel backends must agree: identical routing and neighbor indices,
-floating-point agreement on eigenpairs up to summation-order noise."""
+"""The numpy/BLAS kernels against exact oracles: a brute-force stable argsort
+for the neighbor search, scipy's LAPACK routine for the eigensolve, and a
+plain-python sequential loop for the pair routing."""
+
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from vpcme._kernels import HAVE_NUMBA, available_backends, backend_impls
+from vpcme import _kernels
+from vpcme.constraints import ConstraintConfig, sample_constraints
+from vpcme.dataset import MultiLabelDataset, save_csv, synthetic_dataset
+from vpcme.mlknn import fit_mlknn, posterior_scores
+from vpcme.projection import symmetric_eigen
 
-pytestmark = pytest.mark.skipif(not HAVE_NUMBA, reason="only one backend available")
-
-
-@pytest.fixture(scope="module")
-def numba_impls():
-    return backend_impls("numba")
-
-
-@pytest.fixture(scope="module")
-def numpy_impls():
-    return backend_impls("numpy")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_backend_listing():
-    names = available_backends()
-    assert "numpy" in names
-    assert names[0] == "numba"
+def oracle_knn(train, queries, k, exclude_self):
+    d2 = ((queries[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
+    if exclude_self:
+        np.fill_diagonal(d2, np.inf)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(d2, order, axis=1)
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ImportError):
-        backend_impls("cython")
-
-
-def test_jacobi_agreement(numba_impls, numpy_impls):
-    rng = np.random.Generator(np.random.PCG64(1))
-    for k in (2, 3, 6, 12):
-        base = rng.normal(size=(k, k))
-        a = (base + base.T) / 2.0
-        diag_nb, v_nb = numba_impls["jacobi_eigh"](a)
-        diag_np, v_np = numpy_impls["jacobi_eigh"](a)
-        assert np.allclose(np.sort(diag_nb), np.sort(diag_np), atol=1e-9)
-        for v, diag in ((v_nb, diag_nb), (v_np, diag_np)):
-            assert np.max(np.abs(v @ np.diag(diag) @ v.T - a)) < 1e-8
-
-
-def test_knn_agreement(numba_impls, numpy_impls):
+def point_sets():
     rng = np.random.Generator(np.random.PCG64(2))
-    train = rng.normal(size=(60, 5))
-    queries = rng.normal(size=(25, 5))
-    for k in (1, 4, 9):
-        self_nb = numba_impls["knn_exclude_self"](train, k)
-        self_np = numpy_impls["knn_exclude_self"](train, k)
-        assert np.array_equal(self_nb, self_np)
-        q_nb = numba_impls["knn_query"](train, queries, k)
-        q_np = numpy_impls["knn_query"](train, queries, k)
-        assert np.array_equal(q_nb, q_np)
+    yield "normal", rng.normal(size=(150, 7))
+    yield "wide-scale", rng.normal(size=(120, 5)) * np.geomspace(1e-4, 1e4, 5)
+    yield "offset", rng.normal(size=(100, 4)) + 1e5
+    # duplicate-heavy integer grid: whole blocks of exact distance ties
+    yield "grid", rng.integers(0, 3, size=(200, 3)).astype(float)
+    yield "duplicates", np.repeat(rng.normal(size=(12, 6)), 15, axis=0)[rng.permutation(180)]
+    # near-ties: clusters whose members differ in the last few bits
+    centers = rng.normal(size=(30, 5))
+    yield "near-ties", centers[rng.integers(0, 30, 160)] * (1.0 + 1e-15 * rng.integers(-4, 5, (160, 5)))
 
 
-def test_knn_agreement_with_duplicate_points(numba_impls, numpy_impls):
-    # exact distance ties: both backends must break toward lower indices
+POINTS = dict(point_sets())
+
+
+@pytest.mark.parametrize("name", list(POINTS))
+@pytest.mark.parametrize("k", [1, 4, 10, 25])
+def test_knn_self_search_matches_oracle(name, k):
+    points = POINTS[name]
+    idx, dist = _kernels.knn(points, points, k, exclude_self=True)
+    want_idx, want_dist = oracle_knn(points, points, k, True)
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(dist, want_dist)
+
+
+@pytest.mark.parametrize("name", list(POINTS))
+@pytest.mark.parametrize("k", [1, 4, 10, 25])
+def test_knn_query_search_matches_oracle(name, k):
+    points = POINTS[name]
+    rng = np.random.Generator(np.random.PCG64(k))
+    # half the queries are training rows, so exact ties with self occur too
+    queries = np.concatenate([points[rng.integers(0, len(points), 40)],
+                              points[:40] + rng.normal(size=(40, points.shape[1])) * 1e-3])
+    idx, dist = _kernels.knn(points, queries, k)
+    want_idx, want_dist = oracle_knn(points, queries, k, False)
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(dist, want_dist)
+
+
+def test_knn_small_sets_and_blocking(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(5))
+    points = rng.integers(0, 4, size=(9, 2)).astype(float)
+    for k in range(1, 9):  # every candidate count up to the whole set
+        idx, _ = _kernels.knn(points, points, k, exclude_self=True)
+        assert np.array_equal(idx, oracle_knn(points, points, k, True)[0])
+    # tiny blocks: the result must not depend on how rows are grouped
+    points = rng.normal(size=(70, 4))
+    whole = _kernels.knn(points, points, 6, exclude_self=True)
+    monkeypatch.setattr(_kernels, "KNN_BLOCK", 50)
+    blocked = _kernels.knn(points, points, 6, exclude_self=True)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+
+
+def test_knn_duplicates_break_ties_by_index():
     train = np.array([[0.0, 0.0]] * 4 + [[5.0, 5.0]] * 3)
-    for k in (1, 2, 3):
-        a = numba_impls["knn_exclude_self"](train, k)
-        b = numpy_impls["knn_exclude_self"](train, k)
-        assert np.array_equal(a, b)
-    # row 0 has neighbors 1, 2, 3 at distance zero, in index order
-    assert numba_impls["knn_exclude_self"](train, 3)[0].tolist() == [1, 2, 3]
+    assert _kernels.knn(train, train, 3, exclude_self=True)[0][0].tolist() == [1, 2, 3]
+    assert _kernels.knn(train, train, 3, exclude_self=True)[0][2].tolist() == [0, 1, 3]
+    assert _kernels.knn(train, train[5:6], 3)[0].tolist() == [[4, 5, 6]]
 
 
-def test_route_pairs_agreement(numba_impls, numpy_impls):
+@pytest.mark.parametrize("k", [2, 3, 6, 12, 40])
+def test_symmetric_eigen_matches_scipy(k):
+    rng = np.random.Generator(np.random.PCG64(k))
+    base = rng.normal(size=(k, k))
+    a = (base + base.T) / 2.0
+    values, vectors = symmetric_eigen(a)
+    ref_values, ref_vectors = scipy.linalg.eigh(a)
+    assert np.allclose(values, ref_values[::-1], rtol=0, atol=1e-10)
+    assert np.all(np.diff(values) <= 0.0)
+    # same eigenvectors up to sign; the sign rule makes the largest entry positive
+    assert np.allclose(np.abs(vectors.T @ ref_vectors[:, ::-1]), np.eye(k), atol=1e-8)
+    lead = np.argmax(np.abs(vectors), axis=0)
+    assert np.all(vectors[lead, np.arange(k)] > 0.0)
+    assert np.max(np.abs(vectors @ np.diag(values) @ vectors.T - a)) < 1e-10
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(k))) < 1e-12
+
+
+def test_symmetric_eigen_repeated_values_and_zero_matrix():
+    values, vectors = symmetric_eigen(np.diag([1.0, 3.0, 3.0, -2.0]))
+    assert values.tolist() == [3.0, 3.0, 1.0, -2.0]
+    assert np.allclose(vectors @ np.diag(values) @ vectors.T, np.diag([1.0, 3.0, 3.0, -2.0]))
+    values, vectors = symmetric_eigen(np.zeros((3, 3)))
+    assert values.tolist() == [0.0, 0.0, 0.0]
+    assert np.allclose(vectors.T @ vectors, np.eye(3))
+
+
+def route_sequential(cumw, uniforms, labels, theta, target_must, target_cannot):
+    """One attempt at a time, as the sampling procedure is defined."""
+    n = len(cumw)
+    must, cannot = [], []
+    for a in range(len(uniforms) // 2):
+        if len(must) >= target_must and len(cannot) >= target_cannot:
+            break
+        i = min(int(np.searchsorted(cumw, uniforms[2 * a], side="right")), n - 1)
+        j = min(int(np.searchsorted(cumw, uniforms[2 * a + 1], side="right")), n - 1)
+        if i == j:
+            continue
+        inter = sum(1 for t in range(labels.shape[1]) if labels[i, t] and labels[j, t])
+        denom = (int(labels[i].sum()) + int(labels[j].sum())) / 2.0
+        ratio = 1.0 if denom == 0.0 else inter / denom
+        if ratio >= theta:
+            if len(must) < target_must:
+                must.append((i, j))
+        elif len(cannot) < target_cannot:
+            cannot.append((i, j))
+    return must, cannot
+
+
+@pytest.mark.parametrize("first_step", [0, _kernels.ROUTE_FIRST_STEP])  # 0: steps of 1, 2, 4, ...
+@pytest.mark.parametrize("theta", [0.0, 0.4, 0.8, 1.0])
+def test_route_pairs_matches_sequential_reference(theta, first_step, monkeypatch):
+    monkeypatch.setattr(_kernels, "ROUTE_FIRST_STEP", first_step)
     rng = np.random.Generator(np.random.PCG64(3))
-    n = 25
-    labels = (rng.random((n, 4)) < 0.5).astype(np.uint8)
-    sizes = labels.sum(axis=1).astype(np.int64)
-    weights = rng.random(n)
+    ds = synthetic_dataset(25, 3, 4, seed=1, label_noise=0.3)
+    weights = rng.random(25)
     weights /= weights.sum()
-    cumw = np.cumsum(weights)
-    for theta in (0.0, 0.4, 0.8, 1.0):
-        uniforms = rng.random(4000)
-        args = (cumw, uniforms, labels, sizes, theta, 30, 30)
-        must_nb, cannot_nb = numba_impls["route_pairs"](*args)
-        must_np, cannot_np = numpy_impls["route_pairs"](*args)
-        assert np.array_equal(must_nb, must_np)
-        assert np.array_equal(cannot_nb, cannot_np)
+    for targets in ((30, 30), (5, 60), (0, 12), (40, 0), (0, 0)):
+        cfg = ConstraintConfig(theta=theta, target_must=targets[0], target_cannot=targets[1],
+                               max_attempts=max(sum(targets), 1) * 3)
+        sets = sample_constraints(ds, weights, cfg, np.random.Generator(np.random.PCG64(9)))
+        uniforms = np.random.Generator(np.random.PCG64(9)).random(2 * cfg.max_attempts)
+        must, cannot = route_sequential(np.cumsum(weights), uniforms, ds.labels, theta, *targets)
+        assert sets.must.tolist() == [list(p) for p in must]
+        assert sets.cannot.tolist() == [list(p) for p in cannot]
 
 
-def test_route_pairs_zero_targets(numba_impls, numpy_impls):
-    labels = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-    sizes = labels.sum(axis=1).astype(np.int64)
-    cumw = np.array([0.5, 1.0])
-    uniforms = np.array([0.1, 0.9, 0.2, 0.8])
-    for impls in (numba_impls, numpy_impls):
-        must, cannot = impls["route_pairs"](cumw, uniforms, labels, sizes, 0.5, 0, 0)
-        assert must.shape == (0, 2)
-        assert cannot.shape == (0, 2)
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_training_posteriors_match_a_second_search(k):
+    rng = np.random.Generator(np.random.PCG64(k))
+    # integer grid: many exact duplicates, so self lands behind lower-index twins
+    points = rng.integers(0, 3, size=(150, 2)).astype(float)
+    labels = rng.random((150, 4)) < 0.4
+    model = fit_mlknn(points, labels, k, 1.0)
+    assert np.array_equal(model.train_neighbors, oracle_knn(points, points, k, False)[0])
+    searched = dataclasses.replace(model, train_neighbors=None)
+    assert np.array_equal(posterior_scores(model, points.copy()), posterior_scores(searched, points))
+    # a query matrix that differs in one entry is searched, not looked up
+    moved = points.copy()
+    moved[7, 0] += 0.5
+    assert np.array_equal(posterior_scores(model, moved), posterior_scores(searched, moved))
+
+
+def test_training_rows_are_scored_without_a_second_search(monkeypatch):
+    ds = synthetic_dataset(80, 4, 3, seed=2)
+    model = fit_mlknn(ds.features, ds.labels, 5, 1.0)
+    calls = []
+    monkeypatch.setattr(_kernels, "knn", lambda *args, **kwargs: calls.append(args))
+    posterior_scores(model, ds.features)
+    assert calls == []
+
+
+def test_cv_report_independent_of_blas_threads(tmp_path):
+    # folds of 400 rows, so the kNN products are 400 x 400 GEMMs
+    ds = synthetic_dataset(600, 40, 4, seed=3, label_noise=0.1)
+    data = tmp_path / "data.csv"
+    save_csv(MultiLabelDataset(ds.features, ds.labels), data)
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report-{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        subprocess.run(
+            [sys.executable, "-m", "vpcme.cli", "cv", "--data", str(data), "--labels", "4",
+             "--ensemble-size", "3", "--folds", "3", "--repeats", "1", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
