@@ -18,6 +18,7 @@ from .dataset import (
     compute_stats,
     kfold_split,
     load_csv,
+    load_features,
     save_csv,
     synthetic_dataset,
 )
@@ -47,6 +48,7 @@ from .harness import (
     cross_validate,
     paired_t_test,
     run_sweep,
+    train_method,
 )
 from .metrics import (
     average_precision,

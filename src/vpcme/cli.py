@@ -10,25 +10,20 @@ import argparse
 import json
 import sys
 import time
-
-import numpy as np
+from dataclasses import asdict
 
 from . import __version__
-from .dataset import MultiLabelDataset, compute_stats, load_csv
+from .dataset import compute_stats, format_rows, load_csv, load_features
 from .ensemble import load_model, predict_ensemble, save_model
-from .errors import CsvFormatError, VpcmeError
+from .errors import VpcmeError
 from .harness import (
-    DEFAULT_SIZE_VALUES,
-    DEFAULT_THETA_VALUES,
     METHODS,
     ExperimentConfig,
     SweepSpec,
     compare_methods,
     cross_validate,
     run_sweep,
-    _experiment_vpcme_config,
-    _trainer_for,
-    _zscore_params,
+    train_method,
 )
 
 REPORT_SCHEMA = "vpcme-report/1"
@@ -64,34 +59,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--labels", required=True, type=int)
     p.add_argument("--out", default=None)
+    p.set_defaults(handler=_cmd_stats)
 
     p = sub.add_parser("cv", help="repeated k-fold cross-validation")
     _add_common(p)
+    p.set_defaults(handler=_cmd_cv)
 
     p = sub.add_parser("sweep-theta", help="cross-validate over a threshold list")
     _add_common(p)
     p.add_argument("--values", default=None,
                    help="comma-separated thresholds (default 0.1..1.0 step 0.1)")
+    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("sweep-size", help="cross-validate over ensemble sizes")
     _add_common(p)
     p.add_argument("--values", default=None,
                    help="comma-separated sizes (default 1,10,20,30,40,50)")
+    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("compare", help="run methods on identical splits and t-test them")
     _add_common(p, method=False)
     p.add_argument("--method", default=",".join(METHODS),
                    help="comma-separated method list; the first is the reference")
+    p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("train", help="train on the full dataset and persist the model")
     _add_common(p)
+    p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("predict", help="emit per-instance scores and bipartitions as CSV")
     p.add_argument("--model", required=True, help="model file written by train")
     p.add_argument("--data", required=True)
     p.add_argument("--labels", type=int, default=0,
-                   help="trailing label columns to strip (0 = features only)")
+                   help="trailing 0/1 label columns to strip (0 = features only)")
     p.add_argument("--out", default=None)
+    p.set_defaults(handler=_cmd_predict)
     return parser
 
 
@@ -111,22 +113,6 @@ def _experiment_config(args, method=None) -> ExperimentConfig:
     )
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "data": cfg.data,
-        "label_count": cfg.label_count,
-        "method": cfg.method,
-        "theta": cfg.theta,
-        "ensemble_size": cfg.ensemble_size,
-        "k_neighbors": cfg.k_neighbors,
-        "smoothing": cfg.smoothing,
-        "folds": cfg.folds,
-        "repeats": cfg.repeats,
-        "seed": cfg.seed,
-        "zscore": cfg.zscore,
-    }
-
-
 def _document(command: str, config: dict, body: dict) -> dict:
     doc = {
         "schema": REPORT_SCHEMA,
@@ -139,13 +125,16 @@ def _document(command: str, config: dict, body: dict) -> dict:
     return doc
 
 
-def _emit(doc: dict, out_path) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc: dict, out_path) -> None:
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _print_metric_table(rows, stream=sys.stderr):
@@ -176,28 +165,6 @@ def _parse_values(raw, parameter):
         raise VpcmeError(f"--values must be a comma-separated list of {kind.__name__}s") from None
 
 
-def _load_feature_rows(path):
-    rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-    while lines and lines[-1].strip() == "":
-        lines.pop()
-    if not lines:
-        raise CsvFormatError(f"{path}: file contains no data rows")
-    width = None
-    for lineno, line in enumerate(lines, start=1):
-        fields = line.split(",")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise CsvFormatError(f"{path}: line {lineno} has {len(fields)} fields, expected {width}")
-        try:
-            rows.append([float(x) for x in fields])
-        except ValueError:
-            raise CsvFormatError(f"{path}: line {lineno} has a non-numeric field") from None
-    return np.array(rows, dtype=np.float64)
-
-
 def _cmd_stats(args):
     ds = load_csv(args.data, args.labels)
     stats = compute_stats(ds)
@@ -221,12 +188,13 @@ def _cmd_stats(args):
 def _cmd_cv(args):
     cfg = _experiment_config(args)
     report = cross_validate(cfg)
-    doc = _document("cv", _config_echo(cfg), report.to_dict())
+    doc = _document("cv", asdict(cfg), report.to_dict())
     _emit(doc, args.out)
     _print_metric_table([(cfg.method, report)])
 
 
-def _cmd_sweep(args, parameter):
+def _cmd_sweep(args):
+    parameter = "theta" if args.command == "sweep-theta" else "ensemble_size"
     cfg = _experiment_config(args)
     spec = SweepSpec(parameter=parameter, values=_parse_values(args.values, parameter))
     results = run_sweep(cfg, spec)
@@ -236,8 +204,7 @@ def _cmd_sweep(args, parameter):
             {"value": value, **report.to_dict()} for value, report in results
         ],
     }
-    command = "sweep-theta" if parameter == "theta" else "sweep-size"
-    doc = _document(command, _config_echo(cfg), body)
+    doc = _document(args.command, asdict(cfg), body)
     _emit(doc, args.out)
     _print_metric_table([(f"{parameter}={value}", report) for value, report in results])
 
@@ -252,7 +219,7 @@ def _cmd_compare(args):
         "results": {m: r.to_dict() for m, r in comparison["reports"].items()},
         "tests": comparison["tests"],
     }
-    doc = _document("compare", _config_echo(cfgs[0]), body)
+    doc = _document("compare", asdict(cfgs[0]), body)
     _emit(doc, args.out)
     _print_metric_table([(m, comparison["reports"][m]) for m in comparison["methods"]])
 
@@ -261,24 +228,14 @@ def _cmd_train(args):
     if not args.out:
         raise VpcmeError("train requires --out for the model file")
     cfg = _experiment_config(args)
-    ds = load_csv(args.data, args.labels)
-    scaler = None
-    if cfg.zscore:
-        mean, scale = _zscore_params(ds.features)
-        ds = MultiLabelDataset((ds.features - mean) / scale, ds.labels, ds.label_names)
-        scaler = (mean, scale)
-    trainer = _trainer_for(cfg.method)
-    model = trainer(ds, _experiment_vpcme_config(cfg, cfg.seed))
+    model, scaler = train_method(cfg, load_csv(args.data, args.labels), cfg.seed)
     save_model(model, args.out, scaler=scaler)
     print(f"model with {len(model.members)} member(s) written to {args.out}", file=sys.stderr)
 
 
 def _cmd_predict(args):
     model, scaler = load_model(args.model)
-    if args.labels > 0:
-        features = load_csv(args.data, args.labels).features
-    else:
-        features = _load_feature_rows(args.data)
+    features, _ = load_features(args.data, args.labels)
     if features.shape[1] != model.feature_count:
         raise VpcmeError(
             f"{args.data}: expected {model.feature_count} feature columns, got {features.shape[1]}"
@@ -289,16 +246,7 @@ def _cmd_predict(args):
     bipartitions, scores = predict_ensemble(model, features)
     r = model.label_count
     header = [f"score_{i}" for i in range(r)] + [f"pred_{i}" for i in range(r)]
-    lines = [",".join(header)]
-    for i in range(features.shape[0]):
-        cells = [repr(float(v)) for v in scores[i]] + ["1" if v else "0" for v in bipartitions[i]]
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(",".join(header) + "\n" + format_rows(scores, bipartitions), args.out)
 
 
 def main(argv=None) -> int:
@@ -306,24 +254,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        if args.command == "stats":
-            _cmd_stats(args)
-        elif args.command == "cv":
-            _cmd_cv(args)
-        elif args.command == "sweep-theta":
-            _cmd_sweep(args, "theta")
-        elif args.command == "sweep-size":
-            _cmd_sweep(args, "ensemble_size")
-        elif args.command == "compare":
-            _cmd_compare(args)
-        elif args.command == "train":
-            _cmd_train(args)
-        elif args.command == "predict":
-            _cmd_predict(args)
-    except VpcmeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        args.handler(args)
+    except (VpcmeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{args.command} finished in {time.perf_counter() - started:.2f}s", file=sys.stderr)

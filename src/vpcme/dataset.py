@@ -5,6 +5,7 @@ per line. The trailing ``label_count`` columns are 0/1 label indicators,
 everything before them is a numeric feature.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,59 +94,69 @@ class FoldAssignment:
         return np.flatnonzero(self.fold_of_instance != fold)
 
 
-def load_csv(path, label_count: int) -> MultiLabelDataset:
-    """Parse a dense CSV whose trailing ``label_count`` columns are 0/1 labels."""
-    if label_count < 1:
-        raise ConfigError("label_count must be a positive integer")
+def load_features(path, label_count: int = 0):
+    """Parse a dense CSV into (features, labels).
+
+    The trailing ``label_count`` columns must be 0/1 and come back as a
+    boolean matrix (with no columns when ``label_count`` is 0); the columns
+    before them must be finite numbers. A malformed file raises
+    ``CsvFormatError`` naming its first bad line.
+    """
+    if label_count < 0:
+        raise ConfigError("label_count must be a non-negative integer")
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().split("\n")
     while lines and lines[-1].strip() == "":
         lines.pop()
     if not lines:
         raise CsvFormatError(f"{path}: file contains no data rows")
+    width = lines[0].count(",") + 1
+    if label_count >= width:
+        raise CsvFormatError(
+            f"{path}: label_count={label_count} leaves no feature columns "
+            f"(rows have {width} fields)"
+        )
 
-    width = None
-    feature_rows = []
-    label_rows = []
+    feature_count = width - label_count
+    rows = []
     for lineno, line in enumerate(lines, start=1):
         fields = line.split(",")
-        if width is None:
-            width = len(fields)
-            if label_count >= width:
-                raise CsvFormatError(
-                    f"{path}: label_count={label_count} leaves no feature columns "
-                    f"(rows have {width} fields)"
-                )
-        elif len(fields) != width:
-            raise CsvFormatError(
-                f"{path}: line {lineno} has {len(fields)} fields, expected {width}"
-            )
+        if len(fields) != width:
+            raise CsvFormatError(f"{path}: line {lineno} has {len(fields)} fields, expected {width}")
         try:
-            values = [float(x) for x in fields]
+            row = list(map(float, fields))
         except ValueError:
             raise CsvFormatError(f"{path}: line {lineno} has a non-numeric field") from None
-        feats = values[: width - label_count]
-        labs = values[width - label_count :]
-        for v in labs:
+        for v in row[feature_count:]:
             if v != 0.0 and v != 1.0:
-                raise CsvFormatError(
-                    f"{path}: line {lineno} has label value {v!r} outside {{0, 1}}"
-                )
-        if not all(np.isfinite(feats)):
+                raise CsvFormatError(f"{path}: line {lineno} has label value {v!r} outside {{0, 1}}")
+        if not all(map(math.isfinite, row[:feature_count])):
             raise CsvFormatError(f"{path}: line {lineno} has a non-finite feature")
-        feature_rows.append(feats)
-        label_rows.append([v == 1.0 for v in labs])
+        rows.append(row)
+    values = np.array(rows, dtype=np.float64)
+    return np.ascontiguousarray(values[:, :feature_count]), values[:, feature_count:] == 1.0
 
-    return MultiLabelDataset(np.array(feature_rows, dtype=np.float64), np.array(label_rows, dtype=bool))
+
+def load_csv(path, label_count: int) -> MultiLabelDataset:
+    """Parse a dense CSV whose trailing ``label_count`` columns are 0/1 labels."""
+    if label_count < 1:
+        raise ConfigError("label_count must be a positive integer")
+    return MultiLabelDataset(*load_features(path, label_count))
+
+
+def format_rows(values, flags) -> str:
+    """CSV lines of full-precision float cells followed by 1/0 flag cells."""
+    flag_cells = np.where(flags, "1", "0").tolist()
+    return "".join(
+        ",".join([repr(v) for v in row] + cells) + "\n"
+        for row, cells in zip(np.asarray(values, dtype=np.float64).tolist(), flag_cells)
+    )
 
 
 def save_csv(ds: MultiLabelDataset, path) -> None:
     """Write a dataset in the load_csv format; floats keep full precision."""
     with open(path, "w", encoding="utf-8") as handle:
-        for i in range(ds.instance_count):
-            feats = [repr(float(v)) for v in ds.features[i]]
-            labs = ["1" if v else "0" for v in ds.labels[i]]
-            handle.write(",".join(feats + labs) + "\n")
+        handle.write(format_rows(ds.features, ds.labels))
 
 
 def compute_stats(ds: MultiLabelDataset) -> DatasetStats:

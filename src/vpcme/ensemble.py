@@ -182,6 +182,8 @@ def predict_ensemble(model: VpcmeModel, x):
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != model.feature_count:
         raise ValidationError(f"query width must be {model.feature_count}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("query matrix contains non-finite values")
     s = len(model.members)
     votes = np.zeros((arr.shape[0], model.label_count), dtype=np.int64)
     score_sum = np.zeros((arr.shape[0], model.label_count))

@@ -138,19 +138,6 @@ def _train_seed(master: int, repeat: int, fold: int) -> int:
     return int(np.random.SeedSequence([master, repeat, fold]).generate_state(1)[0])
 
 
-def _trainer_for(method: str):
-    if method == "mlknn_single":
-        return train_single_mlknn
-    return train_vpcme
-
-
-def _zscore_params(features: np.ndarray):
-    mean = features.mean(axis=0)
-    scale = features.std(axis=0)
-    scale = np.where(scale == 0.0, 1.0, scale)
-    return mean, scale
-
-
 def _check_fold_capacity(n: int, cfg: ExperimentConfig) -> None:
     if cfg.folds > n:
         raise ConfigError(f"cannot split {n} instances into {cfg.folds} folds")
@@ -170,8 +157,24 @@ def _load(cfg: ExperimentConfig, dataset):
     return load_csv(cfg.data, cfg.label_count)
 
 
-def _experiment_vpcme_config(cfg: ExperimentConfig, seed: int) -> VpcmeConfig:
-    return VpcmeConfig(
+def train_method(cfg: ExperimentConfig, train_ds: MultiLabelDataset, seed: int):
+    """Train ``cfg.method`` on ``train_ds`` with the given member seed.
+
+    Returns (model, scaler). With ``cfg.zscore`` the features are
+    standardized first and scaler is the (mean, scale) pair that queries
+    must go through; otherwise it is None.
+    """
+    scaler = None
+    if cfg.zscore:
+        mean = train_ds.features.mean(axis=0)
+        scale = train_ds.features.std(axis=0)
+        scale = np.where(scale == 0.0, 1.0, scale)
+        train_ds = MultiLabelDataset(
+            (train_ds.features - mean) / scale, train_ds.labels, train_ds.label_names
+        )
+        scaler = (mean, scale)
+    trainer = train_single_mlknn if cfg.method == "mlknn_single" else train_vpcme
+    vpcme_cfg = VpcmeConfig(
         ensemble_size=cfg.ensemble_size,
         theta=cfg.theta,
         k_neighbors=cfg.k_neighbors,
@@ -179,6 +182,7 @@ def _experiment_vpcme_config(cfg: ExperimentConfig, seed: int) -> VpcmeConfig:
         seed=seed,
         boosting_enabled=cfg.method == "vpcme",
     )
+    return trainer(train_ds, vpcme_cfg), scaler
 
 
 def cross_validate(cfg: ExperimentConfig, dataset: MultiLabelDataset = None) -> EvaluationReport:
@@ -186,7 +190,6 @@ def cross_validate(cfg: ExperimentConfig, dataset: MultiLabelDataset = None) -> 
     ds = _load(cfg, dataset)
     n = ds.instance_count
     _check_fold_capacity(n, cfg)
-    trainer = _trainer_for(cfg.method)
 
     unit_values = {name: [] for name in METRIC_NAMES}
     skipped = {name: 0 for name in METRIC_NAMES}
@@ -197,16 +200,12 @@ def cross_validate(cfg: ExperimentConfig, dataset: MultiLabelDataset = None) -> 
             test_idx = assignment.test_indices(fold)
             train_idx = assignment.train_indices(fold)
             assert np.intersect1d(train_idx, test_idx).size == 0
-            train_ds = ds.subset(train_idx)
+            model, scaler = train_method(cfg, ds.subset(train_idx), _train_seed(cfg.seed, repeat, fold))
             test_x = ds.features[test_idx]
             test_y = ds.labels[test_idx]
-            if cfg.zscore:
-                mean, scale = _zscore_params(train_ds.features)
-                train_ds = MultiLabelDataset(
-                    (train_ds.features - mean) / scale, train_ds.labels, ds.label_names
-                )
+            if scaler is not None:
+                mean, scale = scaler
                 test_x = (test_x - mean) / scale
-            model = trainer(train_ds, _experiment_vpcme_config(cfg, _train_seed(cfg.seed, repeat, fold)))
             bipartitions, scores = predict_ensemble(model, test_x)
             results = evaluate_all(test_y, bipartitions, scores)
             for name, mv in results.items():

@@ -260,6 +260,43 @@ class TestTrainPredict:
             handle.write("1.0,2.0\n")
         assert run_cli("predict", "--model", model_path, "--data", bad) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_predict_rejects_non_finite_features(self, data_csv, tmp_path, capsys, bad):
+        model_path = str(tmp_path / "model.npz")
+        run_cli("train", "--data", data_csv, "--labels", "3", "--method", "mlknn_single",
+                "--k", "5", "--out", model_path)
+        feat_path = str(tmp_path / "features.csv")
+        with open(feat_path, "w") as handle:
+            handle.write("0.5,1.0,-2.0\n" + f"0.5,{bad},-2.0\n")
+        pred_path = str(tmp_path / "pred.csv")
+        assert run_cli("predict", "--model", model_path, "--data", feat_path,
+                       "--labels", "0", "--out", pred_path) == 2
+        assert "line 2 has a non-finite feature" in capsys.readouterr().err
+
+    def test_predict_strips_one_label_column(self, data_csv, tmp_path, capsys):
+        model_path = str(tmp_path / "model.npz")
+        run_cli("train", "--data", data_csv, "--labels", "3", "--method", "mlknn_single",
+                "--k", "5", "--out", model_path)
+        ds = load_csv(data_csv, 3)
+        one_label = str(tmp_path / "one_label.csv")
+        with open(one_label, "w") as handle:
+            for row, flag in zip(ds.features, ds.labels[:, 0]):
+                handle.write(",".join(repr(float(v)) for v in row) + (",1\n" if flag else ",0\n"))
+        out_one = str(tmp_path / "one.csv")
+        out_all = str(tmp_path / "all.csv")
+        assert run_cli("predict", "--model", model_path, "--data", one_label,
+                       "--labels", "1", "--out", out_one) == 0
+        assert run_cli("predict", "--model", model_path, "--data", data_csv,
+                       "--labels", "3", "--out", out_all) == 0
+        with open(out_one, "rb") as fa, open(out_all, "rb") as fb:
+            assert fa.read() == fb.read()
+        # the stripped column must still hold 0/1 labels
+        bad = str(tmp_path / "bad_label.csv")
+        with open(bad, "w") as handle:
+            handle.write(",".join(repr(float(v)) for v in ds.features[0]) + ",0.5\n")
+        assert run_cli("predict", "--model", model_path, "--data", bad, "--labels", "1") == 2
+        assert "outside {0, 1}" in capsys.readouterr().err
+
     def test_zscore_scaler_travels_with_model(self, data_csv, tmp_path):
         model_path = str(tmp_path / "model.npz")
         assert run_cli(

@@ -8,6 +8,7 @@ from vpcme.dataset import (
     compute_stats,
     kfold_split,
     load_csv,
+    load_features,
     save_csv,
     synthetic_dataset,
 )
@@ -18,6 +19,11 @@ def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+# the dataset reader and the features reader share one parser; each
+# malformed-input case below runs through both
+LOADERS = [load_csv, load_features]
 
 
 class TestLoadCsv:
@@ -32,33 +38,39 @@ class TestLoadCsv:
 
     def test_non_numeric_feature_names_line(self, tmp_path):
         path = write(tmp_path, "1.0,x,1,0\n")
-        with pytest.raises(CsvFormatError, match="line 1"):
-            load_csv(path, label_count=2)
+        for loader in LOADERS:
+            with pytest.raises(CsvFormatError, match="line 1"):
+                loader(path, label_count=2)
 
     def test_label_count_consumes_all_columns(self, tmp_path):
         path = write(tmp_path, "1,0,1\n")
-        with pytest.raises(CsvFormatError, match="no feature columns"):
-            load_csv(path, label_count=3)
+        for loader in LOADERS:
+            with pytest.raises(CsvFormatError, match="no feature columns"):
+                loader(path, label_count=3)
 
     def test_ragged_row_names_line(self, tmp_path):
         path = write(tmp_path, "1.0,2.0,1,0\n1.0,1,0\n")
-        with pytest.raises(CsvFormatError, match="line 2"):
-            load_csv(path, label_count=2)
+        for loader in LOADERS:
+            with pytest.raises(CsvFormatError, match="line 2"):
+                loader(path, label_count=2)
 
     def test_label_outside_zero_one(self, tmp_path):
         path = write(tmp_path, "1.0,2.0,1,2\n")
-        with pytest.raises(CsvFormatError, match="line 1"):
-            load_csv(path, label_count=2)
+        for loader in LOADERS:
+            with pytest.raises(CsvFormatError, match="line 1"):
+                loader(path, label_count=2)
 
     def test_non_finite_feature_rejected(self, tmp_path):
         path = write(tmp_path, "inf,2.0,1,0\n")
-        with pytest.raises(CsvFormatError, match="line 1"):
-            load_csv(path, label_count=2)
+        for loader in LOADERS:
+            with pytest.raises(CsvFormatError, match="line 1"):
+                loader(path, label_count=2)
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "")
-        with pytest.raises(CsvFormatError):
-            load_csv(path, label_count=2)
+        for loader in LOADERS:
+            with pytest.raises(CsvFormatError):
+                loader(path, label_count=2)
 
     def test_single_label_column_rejected(self, tmp_path):
         path = write(tmp_path, "1.0,2.0,1\n")
@@ -72,6 +84,34 @@ class TestLoadCsv:
         back = load_csv(path, label_count=3)
         assert np.array_equal(ds.features, back.features)
         assert np.array_equal(ds.labels, back.labels)
+
+    def test_savetxt_round_trip_keeps_float_bits(self, tmp_path):
+        x = np.random.default_rng(5).normal(size=(30, 4)) * np.array([1e-300, 1.0, 1e12, 3.0])
+        path = str(tmp_path / "q.csv")
+        np.savetxt(path, x, fmt="%.17g", delimiter=",")
+        features, labels = load_features(path)
+        assert features.tobytes() == x.tobytes()
+        assert labels.shape == (30, 0)
+
+    def test_features_reader_strips_labels(self, tmp_path):
+        path = write(tmp_path, "1.5,2.0,1\n3.0,-4.0,0\n")
+        features, labels = load_features(path, label_count=1)
+        assert np.array_equal(features, [[1.5, 2.0], [3.0, -4.0]])
+        assert np.array_equal(labels, [[True], [False]])
+        assert features.flags.c_contiguous
+
+    def test_first_bad_line_wins(self, tmp_path):
+        path = write(tmp_path, "1.0,2.0,1,0\nnan,2.0,1,0\n1.0,2.0,1,5\n1.0,1,0\n")
+        with pytest.raises(CsvFormatError, match="line 2 has a non-finite"):
+            load_features(path, label_count=2)
+        path = write(tmp_path, "1.0,2.0,1,0\n1.0,1,0\nnan,2.0,1,0\n")
+        with pytest.raises(CsvFormatError, match="line 2 has 3 fields"):
+            load_features(path, label_count=2)
+
+    def test_negative_label_count(self, tmp_path):
+        path = write(tmp_path, "1.0,2.0\n")
+        with pytest.raises(ConfigError):
+            load_features(path, label_count=-1)
 
 
 class TestComputeStats:

@@ -218,6 +218,15 @@ class TestPrediction:
         with pytest.raises(ValidationError):
             predict_ensemble(model, np.zeros(ds.feature_count + 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        ds = small_dataset()
+        model = train_vpcme(ds, quick_cfg(ensemble_size=1))
+        queries = ds.features[:4].copy()
+        queries[2, 1] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            predict_ensemble(model, queries)
+
 
 class TestSingleMlknn:
     def test_identity_projection_member(self):
