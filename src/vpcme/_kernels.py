@@ -1,9 +1,18 @@
-"""Hot numeric kernels: the k-nearest-neighbor search and pair routing.
+"""Hot numeric kernels: the k-nearest-neighbor search and pair routing,
+plus the thread pool that runs independent units of work side by side.
 
-Both are plain numpy over BLAS. Their outputs do not depend on the BLAS
-thread count: the matrix product only screens neighbor candidates, and
+The kernels are plain numpy over BLAS. Their outputs do not depend on the
+BLAS thread count: the matrix product only screens neighbor candidates, and
 every reported distance is recomputed exactly.
 """
+
+import ctypes
+import glob
+import os
+import threading
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -162,3 +171,105 @@ def route_pairs(cumw, uniforms, labels, sizes, theta, target_must, target_cannot
         start = stop
         step *= 2
     return np.concatenate(found["must"]), np.concatenate(found["cannot"])
+
+
+# ---------------------------------------------------------------------------
+# Thread pool for independent units (cross-validation folds, ensemble
+# members). The units are small GEMMs and single-threaded argpartitions, so
+# they gain from running side by side and lose when BLAS threads compete
+# with the pool's: numpy's bundled OpenBLAS is held at one thread while a
+# pool is open. Results do not depend on either thread count.
+# ---------------------------------------------------------------------------
+
+
+def _find_openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libs / "lib*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype = ctypes.c_int
+                get.argtypes = []
+                put.restype = None
+                put.argtypes = [ctypes.c_int]
+                return get, put
+    return None
+
+
+_OPENBLAS = _find_openblas()
+_cap_lock = threading.Lock()
+_cap_depth = 0
+_cap_saved = None
+_worker = threading.local()
+
+
+def blas_threads():
+    """Current OpenBLAS thread count, or None where numpy's BLAS is not OpenBLAS."""
+    return None if _OPENBLAS is None else _OPENBLAS[0]()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread; the count read on entry comes back on
+    exit. Nested and concurrent holders share the hold: the first one in
+    saves the count and the last one out restores it."""
+    global _cap_depth, _cap_saved
+    if _OPENBLAS is None:
+        yield
+        return
+    get, put = _OPENBLAS
+    with _cap_lock:
+        if _cap_depth == 0:
+            _cap_saved = get()
+            put(1)
+        _cap_depth += 1
+    try:
+        yield
+    finally:
+        with _cap_lock:
+            _cap_depth -= 1
+            if _cap_depth == 0:
+                put(_cap_saved)
+
+
+def _mark_worker():
+    _worker.active = True
+
+
+def _cpu_count():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def parallel_map(fn, items):
+    """``[fn(item) for item in items]``, run on a thread pool.
+
+    One worker per CPU the process may run on, at most one per item.
+    Runs inline with one worker, or when called from inside a worker, so
+    nested calls start no second pool. Results come back in item order.
+    The first exception cancels the items not yet started and is raised
+    as it is; of several, the one of the lowest item index wins.
+    """
+    items = list(items)
+    workers = min(len(items), _cpu_count())
+    if workers <= 1 or getattr(_worker, "active", False):
+        return [fn(item) for item in items]
+    with _one_blas_thread():
+        pool = ThreadPoolExecutor(workers, initializer=_mark_worker)
+        try:
+            futures = [pool.submit(fn, item) for item in items]
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+    for future in futures:
+        if not future.cancelled() and future.exception() is not None:
+            raise future.exception()
+    return [future.result() for future in futures]

@@ -5,6 +5,7 @@ per line. The trailing ``label_count`` columns are 0/1 label indicators,
 everything before them is a numeric feature.
 """
 
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -105,7 +106,8 @@ def load_features(path, label_count: int = 0):
     if label_count < 0:
         raise ConfigError("label_count must be a non-negative integer")
     with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
+        text = handle.read()
+    lines = text.split("\n")
     while lines and lines[-1].strip() == "":
         lines.pop()
     if not lines:
@@ -118,6 +120,26 @@ def load_features(path, label_count: int = 0):
         )
 
     feature_count = width - label_count
+    # np.loadtxt reads the same float bits as float() but is stricter (it
+    # rejects "1_5") and skips blank lines; it reads a StringIO faster than
+    # a list of lines. The line loop takes over when loadtxt fails, drops a
+    # line, or a row fails a check: it parses what float() parses and
+    # raises naming the first bad line.
+    try:
+        values = np.loadtxt(io.StringIO(text), delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    if values is None or values.shape != (len(lines), width) or not _rows_valid(values, feature_count):
+        values = _parse_lines(path, lines, width, feature_count)
+    return np.ascontiguousarray(values[:, :feature_count]), values[:, feature_count:] == 1.0
+
+
+def _rows_valid(values, feature_count):
+    labels = values[:, feature_count:]
+    return bool(((labels == 0.0) | (labels == 1.0)).all() and np.isfinite(values[:, :feature_count]).all())
+
+
+def _parse_lines(path, lines, width, feature_count):
     rows = []
     for lineno, line in enumerate(lines, start=1):
         fields = line.split(",")
@@ -133,8 +155,7 @@ def load_features(path, label_count: int = 0):
         if not all(map(math.isfinite, row[:feature_count])):
             raise CsvFormatError(f"{path}: line {lineno} has a non-finite feature")
         rows.append(row)
-    values = np.array(rows, dtype=np.float64)
-    return np.ascontiguousarray(values[:, :feature_count]), values[:, feature_count:] == 1.0
+    return np.array(rows, dtype=np.float64)
 
 
 def load_csv(path, label_count: int) -> MultiLabelDataset:

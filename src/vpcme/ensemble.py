@@ -9,10 +9,12 @@ stay uniform, which is the bagging-style baseline.
 """
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._kernels import parallel_map
 from .constraints import ConstraintConfig, sample_constraints
 from .dataset import MultiLabelDataset
 from .errors import ConfigError, ValidationError
@@ -174,7 +176,8 @@ def predict_ensemble(model: VpcmeModel, x):
 
     A label is predicted when strictly more than half the members vote for
     it; an exact half split falls back to the mean score against 0.5.
-    Accepts a single feature vector or a matrix of rows.
+    Accepts a single feature vector or a matrix of rows. Members score on
+    ``parallel_map``'s thread pool; votes and scores add up in member order.
     """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
@@ -187,8 +190,12 @@ def predict_ensemble(model: VpcmeModel, x):
     s = len(model.members)
     votes = np.zeros((arr.shape[0], model.label_count), dtype=np.int64)
     score_sum = np.zeros((arr.shape[0], model.label_count))
-    for proj, classifier in model.members:
-        member_scores = posterior_scores(classifier, transform(proj, arr))
+
+    def score(member):
+        proj, classifier = member
+        return posterior_scores(classifier, transform(proj, arr))
+
+    for member_scores in parallel_map(score, model.members):
         votes += member_scores > 0.5
         score_sum += member_scores
     mean_scores = score_sum / s
@@ -226,10 +233,19 @@ def save_model(model: VpcmeModel, path, scaler=None) -> None:
 
 
 def load_model(path):
-    """Inverse of :func:`save_model`; returns (model, scaler_or_None)."""
-    with np.load(path, allow_pickle=False) as data:
-        if str(data["format"]) != MODEL_FORMAT:
-            raise ValidationError(f"unrecognized model format {data['format']!r}")
+    """Inverse of :func:`save_model`; returns (model, scaler_or_None).
+
+    A file that is not a vpcme model raises ``ValidationError`` naming it.
+    """
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValidationError(f"{path}: not a {MODEL_FORMAT} model file")
+    with data:
+        if "format" not in data or str(data["format"]) != MODEL_FORMAT:
+            raise ValidationError(f"{path}: not a {MODEL_FORMAT} model file")
         cfg = VpcmeConfig(**json.loads(str(data["config"])))
         count = int(data["member_count"])
         members = []

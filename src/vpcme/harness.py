@@ -4,7 +4,9 @@ method comparison with paired t-tests.
 Every stochastic choice derives from the experiment's master seed: fold
 shuffles reuse ``seed + repeat_index`` and each (repeat, fold) training run
 gets its own well-mixed seed, so whole pipelines rerun bit-identically.
-Folds are reshuffled for every repeat.
+Folds are reshuffled for every repeat. The (repeat, fold) units are
+independent and run side by side on ``parallel_map``'s thread pool; their
+results are gathered in unit order.
 """
 
 import math
@@ -13,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._kernels import parallel_map
 from ._ttable import critical_value
 from .dataset import MultiLabelDataset, kfold_split, load_csv
 from .ensemble import VpcmeConfig, predict_ensemble, train_single_mlknn, train_vpcme
@@ -40,6 +43,8 @@ class ExperimentConfig:
     zscore: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.folds < 2:
@@ -191,27 +196,28 @@ def cross_validate(cfg: ExperimentConfig, dataset: MultiLabelDataset = None) -> 
     n = ds.instance_count
     _check_fold_capacity(n, cfg)
 
+    assignments = [kfold_split(n, cfg.folds, cfg.seed + repeat) for repeat in range(cfg.repeats)]
+    units = [(repeat, fold) for repeat in range(cfg.repeats) for fold in range(cfg.folds)]
+
+    def run_unit(unit):
+        repeat, fold = unit
+        test_idx = assignments[repeat].test_indices(fold)
+        train_idx = assignments[repeat].train_indices(fold)
+        assert np.intersect1d(train_idx, test_idx).size == 0
+        model, scaler = train_method(cfg, ds.subset(train_idx), _train_seed(cfg.seed, repeat, fold))
+        test_x = ds.features[test_idx]
+        if scaler is not None:
+            mean, scale = scaler
+            test_x = (test_x - mean) / scale
+        bipartitions, scores = predict_ensemble(model, test_x)
+        return evaluate_all(ds.labels[test_idx], bipartitions, scores)
+
     unit_values = {name: [] for name in METRIC_NAMES}
     skipped = {name: 0 for name in METRIC_NAMES}
-    units = []
-    for repeat in range(cfg.repeats):
-        assignment = kfold_split(n, cfg.folds, cfg.seed + repeat)
-        for fold in range(cfg.folds):
-            test_idx = assignment.test_indices(fold)
-            train_idx = assignment.train_indices(fold)
-            assert np.intersect1d(train_idx, test_idx).size == 0
-            model, scaler = train_method(cfg, ds.subset(train_idx), _train_seed(cfg.seed, repeat, fold))
-            test_x = ds.features[test_idx]
-            test_y = ds.labels[test_idx]
-            if scaler is not None:
-                mean, scale = scaler
-                test_x = (test_x - mean) / scale
-            bipartitions, scores = predict_ensemble(model, test_x)
-            results = evaluate_all(test_y, bipartitions, scores)
-            for name, mv in results.items():
-                unit_values[name].append(mv.value)
-                skipped[name] += mv.skipped
-            units.append((repeat, fold))
+    for results in parallel_map(run_unit, units):
+        for name, mv in results.items():
+            unit_values[name].append(mv.value)
+            skipped[name] += mv.skipped
 
     metrics = {
         name: MetricSummary(

@@ -337,16 +337,26 @@ class TestEntryPoint:
             main(["--version"])
         assert exc.value.code == 0
 
+    def test_predict_rejects_a_file_that_is_not_a_model(self, data_csv, capsys):
+        assert run_cli("predict", "--model", data_csv, "--data", data_csv, "--labels", "3") == 2
+        assert f"{data_csv}: not a vpcme-model/1 model file" in capsys.readouterr().err
+
     def test_compare_needs_two_methods(self, data_csv):
         assert run_cli(
             "compare", "--data", data_csv, "--labels", "3", "--method", "vpcme",
             "--folds", "3", "--repeats", "1",
         ) == 2
 
-    def test_negative_invalid_numbers_rejected(self, data_csv):
+    def test_negative_invalid_numbers_rejected(self, data_csv, capsys):
         assert run_cli(
             "cv", "--data", data_csv, "--labels", "3", "--ensemble-size", "0",
         ) == 2
         assert run_cli(
             "cv", "--data", data_csv, "--labels", "3", "--theta", "1.5",
         ) == 2
+        for command in ("cv", "sweep-theta", "sweep-size", "compare", "train"):
+            assert run_cli(
+                command, "--data", data_csv, "--labels", "3", "--seed", "-1",
+                "--out", data_csv + ".out",
+            ) == 2
+            assert "seed must be a non-negative integer" in capsys.readouterr().err

@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +110,61 @@ class TestLoadCsv:
         path = write(tmp_path, "1.0,2.0,1,0\n1.0,1,0\nnan,2.0,1,0\n")
         with pytest.raises(CsvFormatError, match="line 2 has 3 fields"):
             load_features(path, label_count=2)
+
+    def test_blank_line_mid_file(self, tmp_path):
+        path = write(tmp_path, "1.0,2.0,1,0\n\n3.0,4.0,0,1\n")
+        for loader in LOADERS:
+            with pytest.raises(CsvFormatError) as info:
+                loader(path, label_count=2)
+            assert str(info.value) == f"{path}: line 2 has 1 fields, expected 4"
+
+    def test_underscore_digits_parse_as_float_does(self, tmp_path):
+        path = write(tmp_path, "1_5,2.0,1,0\n3.0,4.0,0,1\n")
+        assert np.array_equal(load_csv(path, 2).features, [[15.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(load_features(path, 2)[0], [[15.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("text", ["\ufeff1.0,2.0,1,0\n", "1.0,2.0,1,0\n#1.0,2.0,1,0\n"])
+    def test_bom_and_hash_are_non_numeric(self, tmp_path, text):
+        path = write(tmp_path, text)
+        lineno = text.count("\n")
+        for loader in LOADERS:
+            with pytest.raises(CsvFormatError) as info:
+                loader(path, label_count=2)
+            assert str(info.value) == f"{path}: line {lineno} has a non-numeric field"
+
+    def test_checks_name_a_later_line(self, tmp_path):
+        cases = [
+            ("3.0,4.0,0,2\n", "line 3 has label value 2.0 outside {0, 1}"),
+            ("3.0,nan,0,1\n", "line 3 has a non-finite feature"),
+            ("-inf,4.0,0,1\n", "line 3 has a non-finite feature"),
+        ]
+        for bad, message in cases:
+            path = write(tmp_path, "1.0,2.0,1,0\n3.0,4.0,0,1\n" + bad + "5.0,6.0,1,1\n")
+            for loader in LOADERS:
+                with pytest.raises(CsvFormatError) as info:
+                    loader(path, label_count=2)
+                assert str(info.value) == f"{path}: {message}"
+
+    def test_crlf_lines_parse_like_lf(self, tmp_path):
+        lf = write(tmp_path, "1.5,2.0,1,0\n3.0,-4.0,0,1\n", name="lf.csv")
+        crlf = str(tmp_path / "crlf.csv")
+        with open(crlf, "wb") as handle:
+            handle.write(b"1.5,2.0,1,0\r\n3.0,-4.0,0,1\r\n")
+        for a, b in zip(load_features(lf, 2), load_features(crlf, 2)):
+            assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=30))
+    def test_float_bits_match_python_float(self, values):
+        formats = (repr, "{:.17g}".format, "{:.3e}".format)
+        cells = [[fmt(v) for fmt in formats] for v in values]
+        expected = np.array([[float(c) for c in row] for row in cells])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "floats.csv")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("".join(",".join(row) + "\n" for row in cells))
+            features, _ = load_features(path)
+        assert features.tobytes() == expected.tobytes()
 
     def test_negative_label_count(self, tmp_path):
         path = write(tmp_path, "1.0,2.0\n")

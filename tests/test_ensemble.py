@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,20 @@ class TestPersistence:
         _, scaler = load_model(path)
         assert np.array_equal(scaler[0], mean)
         assert np.array_equal(scaler[1], scale)
+
+
+    def test_csv_is_not_a_model(self, tmp_path):
+        path = str(tmp_path / "data.csv")
+        with open(path, "w") as handle:
+            handle.write("1.0,2.0,1,0\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: not a vpcme-model/1 model file")):
+            load_model(path)
+
+    def test_npz_without_model_keys_is_not_a_model(self, tmp_path):
+        path = str(tmp_path / "other.npz")
+        np.savez(path, x=np.zeros(3))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: not a vpcme-model/1 model file")):
+            load_model(path)
 
 
 class TestModelValidation:

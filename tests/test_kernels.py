@@ -1,20 +1,25 @@
 """The numpy/BLAS kernels against exact oracles: a brute-force stable argsort
 for the neighbor search, scipy's LAPACK routine for the eigensolve, and a
-plain-python sequential loop for the pair routing."""
+plain-python sequential loop for the pair routing. Then the thread pool:
+item order, the one-thread BLAS hold, exceptions and nested calls."""
 
 import dataclasses
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from vpcme import _kernels
+from vpcme import _kernels, harness
 from vpcme.constraints import ConstraintConfig, sample_constraints
 from vpcme.dataset import MultiLabelDataset, save_csv, synthetic_dataset
+from vpcme.ensemble import VpcmeConfig, predict_ensemble, train_vpcme
+from vpcme.harness import ExperimentConfig, cross_validate
 from vpcme.mlknn import fit_mlknn, posterior_scores
 from vpcme.projection import symmetric_eigen
 
@@ -181,20 +186,136 @@ def test_training_rows_are_scored_without_a_second_search(monkeypatch):
     assert calls == []
 
 
+def _pin_to_one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def test_cv_report_independent_of_blas_threads(tmp_path):
-    # folds of 400 rows, so the kNN products are 400 x 400 GEMMs
+    # folds of 400 rows, so the kNN products are 400 x 400 GEMMs; the third
+    # run is pinned to one CPU, so its folds run inline with BLAS at 2 threads
     ds = synthetic_dataset(600, 40, 4, seed=3, label_noise=0.1)
     data = tmp_path / "data.csv"
     save_csv(MultiLabelDataset(ds.features, ds.labels), data)
     reports = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"report-{threads}.json"
+    runs = [("1", None), ("2", None)]
+    if hasattr(os, "sched_setaffinity"):
+        runs.append(("2", _pin_to_one_cpu))
+    for i, (threads, preexec) in enumerate(runs):
+        out = tmp_path / f"report-{i}.json"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
         subprocess.run(
             [sys.executable, "-m", "vpcme.cli", "cv", "--data", str(data), "--labels", "4",
              "--ensemble-size", "3", "--folds", "3", "--repeats", "1", "--out", str(out)],
-            env=env, check=True, capture_output=True,
+            env=env, check=True, capture_output=True, preexec_fn=preexec,
         )
         reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+    assert all(report == reports[0] for report in reports[1:])
+
+
+# ---------------------------------------------------------------------------
+# parallel_map: the thread pool under cross_validate and predict_ensemble
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def two_workers(monkeypatch):
+    """Open a two-worker pool even on a one-CPU machine."""
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 2)
+
+
+@pytest.fixture()
+def blas_at_two_threads():
+    """OpenBLAS at 2 threads, so that a pool's hold at 1 shows; skip without OpenBLAS."""
+    before = _kernels.blas_threads()
+    if before is None:
+        pytest.skip("numpy's BLAS is not the bundled OpenBLAS")
+    _kernels._OPENBLAS[1](2)
+    yield _kernels.blas_threads()
+    _kernels._OPENBLAS[1](before)
+
+
+def _tiny_cv_config(**overrides):
+    return ExperimentConfig(**dict(ensemble_size=2, k_neighbors=3, folds=3, repeats=2, seed=4, **overrides))
+
+
+def test_parallel_map_keeps_item_order(two_workers):
+    def slow_first(i):
+        time.sleep(0.02 * (5 - i))
+        return i * i
+
+    assert _kernels.parallel_map(slow_first, range(6)) == [i * i for i in range(6)]
+    assert _kernels.parallel_map(slow_first, []) == []
+
+
+def test_pool_holds_blas_at_one_thread_and_restores_it(two_workers, blas_at_two_threads):
+    seen = _kernels.parallel_map(lambda _: _kernels.blas_threads(), range(4))
+    assert seen == [1, 1, 1, 1]
+    assert _kernels.blas_threads() == blas_at_two_threads
+
+    ds = synthetic_dataset(60, 5, 3, seed=1)
+    cross_validate(_tiny_cv_config(), ds)
+    assert _kernels.blas_threads() == blas_at_two_threads
+    model = train_vpcme(ds, VpcmeConfig(ensemble_size=3, k_neighbors=3))
+    predict_ensemble(model, ds.features)
+    assert _kernels.blas_threads() == blas_at_two_threads
+
+
+def test_fold_unit_exception_reaches_the_caller(two_workers, monkeypatch):
+    cfg = _tiny_cv_config()
+    failing_seed = harness._train_seed(cfg.seed, 0, 1)
+    boom = RuntimeError("fold unit failed")
+    train_method = harness.train_method
+
+    def flaky(cfg, train_ds, seed):
+        if seed == failing_seed:
+            raise boom
+        return train_method(cfg, train_ds, seed)
+
+    monkeypatch.setattr(harness, "train_method", flaky)
+    before = _kernels.blas_threads()
+    with pytest.raises(RuntimeError) as info:
+        cross_validate(cfg, synthetic_dataset(60, 5, 3, seed=1))
+    assert info.value is boom
+    assert _kernels.blas_threads() == before
+
+
+def test_parallel_map_in_a_worker_runs_inline(two_workers):
+    def outer(_):
+        inner = _kernels.parallel_map(lambda _: threading.get_ident(), range(3))
+        return threading.get_ident(), inner
+
+    results = _kernels.parallel_map(outer, range(2))
+    for ident, inner in results:
+        assert ident != threading.get_ident()
+        assert inner == [ident, ident, ident]
+
+
+def test_concurrent_pools_share_one_blas_hold(monkeypatch, blas_at_two_threads):
+    # more pools and workers than cores, with fast thread switching: a lost
+    # update on the shared hold would let an item see BLAS above one thread
+    # or leave it at one after the last pool closes
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 4)
+    seen = []
+
+    def item(_):
+        time.sleep(0.001)
+        return _kernels.blas_threads()
+
+    def caller():
+        for _ in range(20):
+            seen.extend(_kernels.parallel_map(item, range(8)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(6)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert seen == [1] * (6 * 20 * 8)
+    assert _kernels.blas_threads() == blas_at_two_threads
