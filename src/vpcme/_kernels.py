@@ -22,8 +22,13 @@ import numpy as np
 # 0..9, 67% of rows fall back with no extra candidates, 9% with 4 and 0.4%
 # with 8.
 KNN_EXTRA = 8
-# Elements in one block's distance temporaries; bounds the search's memory.
-KNN_BLOCK = 1 << 21
+# Elements in one block of screening values; bounds the search's memory and
+# keeps a block near cache. At 1933 training rows a block is 271 rows, 4 MB.
+# Self-search of a yeast-shaped training fold (1933 x 33, k = 10, one BLAS
+# thread, min of 15) on a 2-core Xeon VM with 2 MiB of L2 per core, from
+# 2^16 to 2^21: 33.2, 29.0, 28.0, 28.4, 31.8, 38.6 ms; at the scene shape
+# (1925 x 126): 63.6, 55.7, 51.5, 48.2, 55.8, 74.8 ms.
+KNN_BLOCK = 1 << 19
 # First routing step covers this many times the combined targets in attempts;
 # each later step doubles.
 ROUTE_FIRST_STEP = 2
@@ -32,31 +37,39 @@ ROUTE_FIRST_STEP = 2
 # ---------------------------------------------------------------------------
 # k-nearest-neighbor search, squared Euclidean distance.
 #
-# Candidates come from the GEMM expansion |q|^2 + |t|^2 - 2 q.t and an
-# argpartition that keeps k + KNN_EXTRA per row. Their distances are then
-# recomputed exactly as ((q - t)**2).sum(-1) and ranked by (distance, index),
-# so ties go to the lower training index.
+# Candidates are screened with s = |t|^2 - 2 q.t, which one GEMM of the
+# augmented rows [q, 1] against [-2t, |t|^2] yields; |q|^2 is the same along
+# a row, so the argpartition that keeps k + KNN_EXTRA per row does not need
+# it. The candidates' distances are then recomputed exactly as
+# ((q - t)**2).sum(-1) and ranked by (distance, index), so ties go to the
+# lower training index.
 #
 # Error bound, with u = eps / 2 the unit roundoff and the first-order terms
-# of Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1. The
-# exact sum adds d non-negative terms, each with relative error 3u, so it is
-# off by at most (d + 2) u |q - t|^2 <= 2 (d + 2) u (|q|^2 + |t|^2). In the
-# expansion, the doubled dot product is off by at most d u (|q|^2 + |t|^2),
-# the two norms by d u (|q|^2 + |t|^2) together, and the two additions by
-# 4 u (|q|^2 + |t|^2). So the two values differ by at most
-# 4 (d + 2) u (|q|^2 + |t|^2) = 2 (d + 2) eps (|q|^2 + |t|^2). The screen
-# uses four times that, 8 (d + 2) eps (|q|^2 + max |t|^2), which leaves room
-# for the second-order terms and for the rounding of the norms in the
-# tolerance itself. A row is searched again by brute force unless its
-# nearest non-candidate's expansion exceeds its k-th exact distance by more
-# than that tolerance; then no non-candidate can rank before the k-th.
+# of Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1.
+# Scaling by -2 is exact. The (d + 1)-term dot product is off by at most
+# (d + 1) u (2 sum |q_i t_i| + |t|^2) <= (d + 1) u (|q|^2 + 2 |t|^2), the
+# norms |t|^2 and |q|^2 by d u |t|^2 and d u |q|^2, and adding |q|^2 back
+# by 2 u (|q|^2 + |t|^2). The exact sum adds d non-negative terms, each with
+# relative error 3u, so it is off by at most (d + 2) u |q - t|^2
+# <= 2 (d + 2) u (|q|^2 + |t|^2). So s + |q|^2 and the exact distance
+# differ by at most (5 d + 8) u (|q|^2 + |t|^2). The screen's tolerance,
+# 8 (d + 2) eps (|q|^2 + max |t|^2) = 16 (d + 2) u (...), is at least three
+# times that, which leaves room for the second-order terms and for the
+# rounding of the norms in the tolerance itself. Every non-candidate's s is
+# at least that of the nearest one, which alone gets |q|^2 added back. A row
+# is searched again by brute force unless that value exceeds its k-th exact
+# distance by more than the tolerance; then no non-candidate can rank
+# before the k-th.
 # ---------------------------------------------------------------------------
 
 
 def _squared_distances(queries, rows):
     """Exact squared distances of (m, d) queries to (n, d) shared rows, or
-    to (m, c, d) rows gathered per query."""
-    return ((queries[:, None, :] - rows) ** 2).sum(axis=-1)
+    to (m, c, d) rows gathered per query; ``((q - t)**2).sum(-1)``, squared
+    in place."""
+    diff = np.subtract(queries[:, None, :], rows)
+    np.square(diff, out=diff)
+    return diff.sum(axis=-1)
 
 
 def _brute_force(train, queries, rows, k, exclude_self):
@@ -97,6 +110,11 @@ def knn(train, queries, k, exclude_self=False):
     idx = np.empty((m, k), np.int64)
     dist = np.empty((m, k))
     t_sq = np.einsum("ij,ij->i", train, train)
+    screen = np.empty((n, d + 1))
+    np.multiply(train, -2.0, out=screen[:, :d])
+    screen[:, d] = t_sq
+    q_aug = np.ones((m, d + 1))
+    q_aug[:, :d] = queries
     tol_scale = 8.0 * (d + 2) * np.finfo(np.float64).eps
     t_sq_max = float(t_sq.max())
     step = max(1, KNN_BLOCK // max(n, c * d))
@@ -105,14 +123,11 @@ def knn(train, queries, k, exclude_self=False):
         b = q.shape[0]
         local = np.arange(b)
         q_sq = np.einsum("ij,ij->i", q, q)
-        approx = q @ train.T
-        approx *= -2.0
-        approx += q_sq[:, None]
-        approx += t_sq
+        approx = q_aug[start : start + b] @ screen.T  # |t|^2 - 2 q.t
         if exclude_self:
             approx[local, start + local] = np.inf
         part = np.argpartition(approx, c, axis=1)
-        nearest_outside = approx[local, part[:, c]]
+        nearest_outside = approx[local, part[:, c]] + q_sq
         cand = part[:, :c]
         exact = _squared_distances(q, train[cand])
         order = np.lexsort((cand, exact), axis=-1)[:, :k]
@@ -177,8 +192,10 @@ def route_pairs(cumw, uniforms, labels, sizes, theta, target_must, target_cannot
 # Thread pool for independent units (cross-validation folds, ensemble
 # members). The units are small GEMMs and single-threaded argpartitions, so
 # they gain from running side by side and lose when BLAS threads compete
-# with the pool's: numpy's bundled OpenBLAS is held at one thread while a
-# pool is open. Results do not depend on either thread count.
+# with the pool's. numpy's bundled OpenBLAS is held at one thread while the
+# units run, pooled or inline, so the projections' bits (scatter products
+# and eigensolves, whose rounding follows BLAS's split of the work) do not
+# depend on the CPU count either.
 # ---------------------------------------------------------------------------
 
 
@@ -215,7 +232,7 @@ def blas_threads():
 
 
 @contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """Hold OpenBLAS at one thread; the count read on entry comes back on
     exit. Nested and concurrent holders share the hold: the first one in
     saves the count and the last one out restores it."""
@@ -256,13 +273,14 @@ def parallel_map(fn, items):
     Runs inline with one worker, or when called from inside a worker, so
     nested calls start no second pool. Results come back in item order.
     The first exception cancels the items not yet started and is raised
-    as it is; of several, the one of the lowest item index wins.
+    as it is; of several, the one of the lowest item index wins. BLAS is
+    held at one thread either way.
     """
     items = list(items)
     workers = min(len(items), _cpu_count())
-    if workers <= 1 or getattr(_worker, "active", False):
-        return [fn(item) for item in items]
-    with _one_blas_thread():
+    with one_blas_thread():
+        if workers <= 1 or getattr(_worker, "active", False):
+            return [fn(item) for item in items]
         pool = ThreadPoolExecutor(workers, initializer=_mark_worker)
         try:
             futures = [pool.submit(fn, item) for item in items]

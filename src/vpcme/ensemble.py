@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._kernels import parallel_map
+from ._kernels import one_blas_thread, parallel_map
 from .constraints import ConstraintConfig, sample_constraints
 from .dataset import MultiLabelDataset
 from .errors import ConfigError, ValidationError
@@ -120,7 +120,11 @@ def _fit_member(ds, weights, cfg, member_index):
 
 
 def train_vpcme(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
-    """Train the full ensemble; member RNG streams derive from (seed, index)."""
+    """Train the full ensemble; member RNG streams derive from (seed, index).
+
+    BLAS runs at one thread throughout, so the model's bits do not depend on
+    the CPU count.
+    """
     n = ds.instance_count
     if n < max(2, cfg.k_neighbors + 1):
         raise ConfigError(
@@ -129,18 +133,19 @@ def train_vpcme(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
     state = BoostState(weights=np.full(n, 1.0 / n))
     members = []
     log = []
-    for l in range(cfg.ensemble_size):
-        member, mis, sets = _fit_member(ds, state.weights, cfg, l)
-        error_rate = float(np.mean(mis))
-        if cfg.boosting_enabled and error_rate > 0.0:
-            updated = state.weights.copy()
-            updated[mis] *= 1.0 + error_rate
-            updated /= updated.sum()
-            state = BoostState(weights=updated, last_error_rate=error_rate)
-        else:
-            state = BoostState(weights=state.weights, last_error_rate=error_rate)
-        members.append(member)
-        log.append((error_rate, member[0].reduced_dim, sets.n_must, sets.n_cannot))
+    with one_blas_thread():
+        for l in range(cfg.ensemble_size):
+            member, mis, sets = _fit_member(ds, state.weights, cfg, l)
+            error_rate = float(np.mean(mis))
+            if cfg.boosting_enabled and error_rate > 0.0:
+                updated = state.weights.copy()
+                updated[mis] *= 1.0 + error_rate
+                updated /= updated.sum()
+                state = BoostState(weights=updated, last_error_rate=error_rate)
+            else:
+                state = BoostState(weights=state.weights, last_error_rate=error_rate)
+            members.append(member)
+            log.append((error_rate, member[0].reduced_dim, sets.n_must, sets.n_cannot))
     return VpcmeModel(members=tuple(members), config=cfg, training_log=tuple(log))
 
 
@@ -153,8 +158,9 @@ def train_single_mlknn(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
         reduced_dim=k,
         scaling_r=1.0,
     )
-    classifier = fit_mlknn(ds.features, ds.labels, cfg.k_neighbors, cfg.smoothing)
-    train_preds = posterior_scores(classifier, ds.features) > 0.5
+    with one_blas_thread():
+        classifier = fit_mlknn(ds.features, ds.labels, cfg.k_neighbors, cfg.smoothing)
+        train_preds = posterior_scores(classifier, ds.features) > 0.5
     error_rate = float(np.mean((train_preds != ds.labels).any(axis=1)))
     single_cfg = VpcmeConfig(
         ensemble_size=1,
@@ -235,7 +241,8 @@ def save_model(model: VpcmeModel, path, scaler=None) -> None:
 def load_model(path):
     """Inverse of :func:`save_model`; returns (model, scaler_or_None).
 
-    A file that is not a vpcme model raises ``ValidationError`` naming it.
+    A file that is not a vpcme model, or lacks one of its arrays, raises
+    ``ValidationError`` naming it.
     """
     try:
         data = np.load(path, allow_pickle=False)
@@ -246,31 +253,38 @@ def load_model(path):
     with data:
         if "format" not in data or str(data["format"]) != MODEL_FORMAT:
             raise ValidationError(f"{path}: not a {MODEL_FORMAT} model file")
-        cfg = VpcmeConfig(**json.loads(str(data["config"])))
-        count = int(data["member_count"])
+
+        def read(key):
+            if key not in data:
+                raise ValidationError(f"{path}: not a {MODEL_FORMAT} model file, no {key!r} array")
+            return data[key]
+
+        cfg = VpcmeConfig(**json.loads(str(read("config"))))
+        count = int(read("member_count"))
         members = []
         for i in range(count):
+            w = read(f"m{i}_w")
             proj = ProjectionModel(
-                w=data[f"m{i}_w"],
-                eigenvalues=data[f"m{i}_eigenvalues"],
-                reduced_dim=data[f"m{i}_w"].shape[1],
-                scaling_r=float(data[f"m{i}_scaling_r"]),
+                w=w,
+                eigenvalues=read(f"m{i}_eigenvalues"),
+                reduced_dim=w.shape[1],
+                scaling_r=float(read(f"m{i}_scaling_r")),
             )
             classifier = MlknnModel(
-                k_neighbors=int(data[f"m{i}_k_neighbors"]),
-                smoothing=float(data[f"m{i}_smoothing"]),
-                train_points=data[f"m{i}_train_points"],
-                train_labels=data[f"m{i}_train_labels"],
-                prior_pos=data[f"m{i}_prior_pos"],
-                freq_pos=data[f"m{i}_freq_pos"],
-                freq_neg=data[f"m{i}_freq_neg"],
+                k_neighbors=int(read(f"m{i}_k_neighbors")),
+                smoothing=float(read(f"m{i}_smoothing")),
+                train_points=read(f"m{i}_train_points"),
+                train_labels=read(f"m{i}_train_labels"),
+                prior_pos=read(f"m{i}_prior_pos"),
+                freq_pos=read(f"m{i}_freq_pos"),
+                freq_neg=read(f"m{i}_freq_neg"),
             )
             members.append((proj, classifier))
         log = tuple(
             (float(row[0]), int(row[1]), int(row[2]), int(row[3]))
-            for row in data["training_log"]
+            for row in read("training_log")
         )
         scaler = None
         if "scaler_mean" in data:
-            scaler = (data["scaler_mean"], data["scaler_scale"])
+            scaler = (data["scaler_mean"], read("scaler_scale"))
         return VpcmeModel(members=tuple(members), config=cfg, training_log=log), scaler

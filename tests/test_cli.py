@@ -341,6 +341,19 @@ class TestEntryPoint:
         assert run_cli("predict", "--model", data_csv, "--data", data_csv, "--labels", "3") == 2
         assert f"{data_csv}: not a vpcme-model/1 model file" in capsys.readouterr().err
 
+    def test_predict_rejects_a_model_archive_without_member_arrays(self, data_csv, tmp_path, capsys):
+        model_path = str(tmp_path / "model.npz")
+        assert run_cli(
+            "train", "--data", data_csv, "--labels", "3", "--ensemble-size", "1", "--k", "5",
+            "--out", model_path,
+        ) == 0
+        with np.load(model_path) as data:
+            kept = {key: data[key] for key in ("format", "config", "member_count", "training_log")}
+        np.savez(model_path, **kept)
+        assert run_cli("predict", "--model", model_path, "--data", data_csv, "--labels", "3") == 2
+        message = f"{model_path}: not a vpcme-model/1 model file, no 'm0_w' array"
+        assert message in capsys.readouterr().err
+
     def test_compare_needs_two_methods(self, data_csv):
         assert run_cli(
             "compare", "--data", data_csv, "--labels", "3", "--method", "vpcme",

@@ -284,6 +284,19 @@ class TestPersistence:
         with pytest.raises(ValidationError, match=re.escape(f"{path}: not a vpcme-model/1 model file")):
             load_model(path)
 
+    @pytest.mark.parametrize("missing", ["m0_w", "m1_freq_neg", "training_log", "scaler_scale"])
+    def test_archive_missing_an_array_is_not_a_model(self, tmp_path, missing):
+        ds = small_dataset(seed=33)
+        path = str(tmp_path / "model.npz")
+        scaler = (np.zeros(ds.feature_count), np.ones(ds.feature_count))
+        save_model(train_vpcme(ds, quick_cfg(ensemble_size=2)), path, scaler=scaler)
+        with np.load(path) as data:
+            kept = {key: data[key] for key in data.files if key != missing}
+        np.savez(path, **kept)
+        message = f"{path}: not a vpcme-model/1 model file, no '{missing}' array"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_model(path)
+
 
 class TestModelValidation:
     def test_member_count_must_match_config(self):

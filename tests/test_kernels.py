@@ -1,7 +1,8 @@
 """The numpy/BLAS kernels against exact oracles: a brute-force stable argsort
 for the neighbor search, scipy's LAPACK routine for the eigensolve, and a
 plain-python sequential loop for the pair routing. Then the thread pool:
-item order, the one-thread BLAS hold, exceptions and nested calls."""
+item order, the one-thread BLAS hold, exceptions and nested calls, and
+results that do not depend on the BLAS thread count."""
 
 import dataclasses
 import os
@@ -15,10 +16,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from vpcme import _kernels, harness
+from vpcme import _kernels, ensemble, harness
 from vpcme.constraints import ConstraintConfig, sample_constraints
 from vpcme.dataset import MultiLabelDataset, save_csv, synthetic_dataset
-from vpcme.ensemble import VpcmeConfig, predict_ensemble, train_vpcme
+from vpcme.ensemble import VpcmeConfig, predict_ensemble, train_single_mlknn, train_vpcme
 from vpcme.harness import ExperimentConfig, cross_validate
 from vpcme.mlknn import fit_mlknn, posterior_scores
 from vpcme.projection import symmetric_eigen
@@ -45,33 +46,74 @@ def point_sets():
     # near-ties: clusters whose members differ in the last few bits
     centers = rng.normal(size=(30, 5))
     yield "near-ties", centers[rng.integers(0, 30, 160)] * (1.0 + 1e-15 * rng.integers(-4, 5, (160, 5)))
+    # |q|^2 dwarfs the distances: the screen leaves it out of the product
+    yield "offset-1e7", rng.normal(size=(100, 4)) + 1e7
 
 
 POINTS = dict(point_sets())
 
 
+def block_sizes(points):
+    """The default KNN_BLOCK, then blocks of 7 rows (a ragged last block) and
+    of one row, where the self-excluded diagonal and |q|^2 go per block."""
+    return _kernels.KNN_BLOCK, 7 * len(points), len(points)
+
+
 @pytest.mark.parametrize("name", list(POINTS))
 @pytest.mark.parametrize("k", [1, 4, 10, 25])
-def test_knn_self_search_matches_oracle(name, k):
+def test_knn_self_search_matches_oracle(name, k, monkeypatch):
     points = POINTS[name]
-    idx, dist = _kernels.knn(points, points, k, exclude_self=True)
     want_idx, want_dist = oracle_knn(points, points, k, True)
-    assert np.array_equal(idx, want_idx)
-    assert np.array_equal(dist, want_dist)
+    for block in block_sizes(points):
+        monkeypatch.setattr(_kernels, "KNN_BLOCK", block)
+        idx, dist = _kernels.knn(points, points, k, exclude_self=True)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(dist, want_dist)
 
 
 @pytest.mark.parametrize("name", list(POINTS))
 @pytest.mark.parametrize("k", [1, 4, 10, 25])
-def test_knn_query_search_matches_oracle(name, k):
+def test_knn_query_search_matches_oracle(name, k, monkeypatch):
     points = POINTS[name]
     rng = np.random.Generator(np.random.PCG64(k))
     # half the queries are training rows, so exact ties with self occur too
     queries = np.concatenate([points[rng.integers(0, len(points), 40)],
                               points[:40] + rng.normal(size=(40, points.shape[1])) * 1e-3])
-    idx, dist = _kernels.knn(points, queries, k)
     want_idx, want_dist = oracle_knn(points, queries, k, False)
-    assert np.array_equal(idx, want_idx)
-    assert np.array_equal(dist, want_dist)
+    for block in block_sizes(points):
+        monkeypatch.setattr(_kernels, "KNN_BLOCK", block)
+        idx, dist = _kernels.knn(points, queries, k)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(dist, want_dist)
+
+
+@pytest.mark.parametrize("exclude_self", [True, False])
+def test_knn_screen_needs_no_fallback_on_normal_data(exclude_self, monkeypatch):
+    # a loose tolerance or a misplaced |q|^2 would quietly send rows to the
+    # brute-force search; on well-separated data none should go there
+    rng = np.random.Generator(np.random.PCG64(11))
+    train = rng.normal(size=(2000, 31))
+    queries = train if exclude_self else rng.normal(size=(500, 31))
+    calls = []
+    brute_force = _kernels._brute_force
+
+    def spy(*args):
+        calls.append(args[2].size)
+        return brute_force(*args)
+
+    monkeypatch.setattr(_kernels, "_brute_force", spy)
+    _kernels.knn(train, queries, 10, exclude_self=exclude_self)
+    assert calls == []
+
+
+@pytest.mark.parametrize("shape", ["shared", "gathered"])
+def test_squared_distances_equal_the_plain_expression(shape):
+    rng = np.random.Generator(np.random.PCG64(12))
+    for scale in (np.ones(9), np.geomspace(1e-6, 1e6, 9)):
+        queries = rng.normal(size=(30, 9)) * scale
+        rows = rng.normal(size=(40, 9) if shape == "shared" else (30, 18, 9)) * scale
+        plain = ((queries[:, None, :] - rows) ** 2).sum(-1)
+        assert plain.tobytes() == _kernels._squared_distances(queries, rows).tobytes()
 
 
 def test_knn_small_sets_and_blocking(monkeypatch):
@@ -213,6 +255,33 @@ def test_cv_report_independent_of_blas_threads(tmp_path):
     assert all(report == reports[0] for report in reports[1:])
 
 
+def test_model_arrays_independent_of_blas_threads(tmp_path):
+    # at 600 x 103 the scatter products and eigensolves round differently
+    # with BLAS at 2 threads; training holds it at one, so every array of
+    # the model file matches across thread counts and CPU counts
+    data = tmp_path / "data.csv"
+    save_csv(synthetic_dataset(600, 103, 14, seed=0), data)
+    runs = [("1", None), ("2", None)]
+    if hasattr(os, "sched_setaffinity"):
+        runs.append(("2", _pin_to_one_cpu))
+    models = []
+    for i, (threads, preexec) in enumerate(runs):
+        out = tmp_path / f"model-{i}.npz"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        subprocess.run(
+            [sys.executable, "-m", "vpcme.cli", "train", "--data", str(data), "--labels", "14",
+             "--ensemble-size", "3", "--seed", "1", "--out", str(out)],
+            env=env, check=True, capture_output=True, preexec_fn=preexec,
+        )
+        with np.load(out) as model:
+            models.append({key: model[key] for key in model.files})
+    for other in models[1:]:
+        assert other.keys() == models[0].keys()
+        for key, value in models[0].items():
+            assert other[key].tobytes() == value.tobytes(), key
+
+
 # ---------------------------------------------------------------------------
 # parallel_map: the thread pool under cross_validate and predict_ensemble
 # ---------------------------------------------------------------------------
@@ -258,6 +327,26 @@ def test_pool_holds_blas_at_one_thread_and_restores_it(two_workers, blas_at_two_
     assert _kernels.blas_threads() == blas_at_two_threads
     model = train_vpcme(ds, VpcmeConfig(ensemble_size=3, k_neighbors=3))
     predict_ensemble(model, ds.features)
+    assert _kernels.blas_threads() == blas_at_two_threads
+
+
+def test_inline_training_holds_blas_at_one_thread_and_restores_it(monkeypatch, blas_at_two_threads):
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 1)
+    seen = []
+    fit_mlknn_ = ensemble.fit_mlknn
+
+    def spy(*args):
+        seen.append(_kernels.blas_threads())
+        return fit_mlknn_(*args)
+
+    monkeypatch.setattr(ensemble, "fit_mlknn", spy)
+    ds = synthetic_dataset(60, 5, 3, seed=1)
+    train_vpcme(ds, VpcmeConfig(ensemble_size=3, k_neighbors=3))
+    assert _kernels.blas_threads() == blas_at_two_threads
+    train_single_mlknn(ds, VpcmeConfig(k_neighbors=3))
+    assert _kernels.blas_threads() == blas_at_two_threads
+    assert seen == [1, 1, 1, 1]
+    assert _kernels.parallel_map(lambda _: _kernels.blas_threads(), range(3)) == [1, 1, 1]
     assert _kernels.blas_threads() == blas_at_two_threads
 
 
