@@ -23,7 +23,6 @@ from .dataset import (
     synthetic_dataset,
 )
 from .ensemble import (
-    BoostState,
     VpcmeConfig,
     VpcmeModel,
     load_model,
@@ -66,7 +65,6 @@ from .projection import (
     ProjectionModel,
     ScatterPair,
     fit_projection,
-    scaling_coefficient,
     scatter_matrices,
     symmetric_eigen,
     transform,

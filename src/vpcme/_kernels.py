@@ -1,7 +1,7 @@
-"""Hot numeric kernels: the k-nearest-neighbor search and pair routing,
-plus the thread pool that runs independent units of work side by side.
+"""The k-nearest-neighbor search, plus the thread pool that runs
+independent units of work side by side.
 
-The kernels are plain numpy over BLAS. Their outputs do not depend on the
+The search is plain numpy over BLAS. Its output does not depend on the
 BLAS thread count: the matrix product only screens neighbor candidates, and
 every reported distance is recomputed exactly.
 """
@@ -29,9 +29,6 @@ KNN_EXTRA = 8
 # 2^16 to 2^21: 33.2, 29.0, 28.0, 28.4, 31.8, 38.6 ms; at the scene shape
 # (1925 x 126): 63.6, 55.7, 51.5, 48.2, 55.8, 74.8 ms.
 KNN_BLOCK = 1 << 19
-# First routing step covers this many times the combined targets in attempts;
-# each later step doubles.
-ROUTE_FIRST_STEP = 2
 
 
 # ---------------------------------------------------------------------------
@@ -142,50 +139,6 @@ def knn(train, queries, k, exclude_self=False):
         idx[start : start + b] = block_idx
         dist[start : start + b] = block_dist
     return idx, dist
-
-
-# ---------------------------------------------------------------------------
-# Pair routing for constraint sampling. Consumes a pre-drawn block of
-# uniforms (two per attempt), maps each to an instance index by inverse-CDF
-# lookup on the cumulative weights, and routes the pair to the must or
-# cannot list by comparing the label-overlap ratio against theta. Attempts
-# with i == j are rejected but still consume their uniforms; pairs whose
-# list is already full are discarded. Attempts are routed in growing steps
-# that stop once both lists are full; the outcome is that of routing the
-# attempts one at a time.
-# ---------------------------------------------------------------------------
-
-
-def route_pairs(cumw, uniforms, labels, sizes, theta, target_must, target_cannot):
-    """(must, cannot) pair arrays, each (count, 2) int64, in attempt order.
-
-    ``labels`` is the (n, r) bool label matrix and ``sizes`` its row sums.
-    """
-    n = sizes.shape[0]
-    attempts = uniforms.shape[0] // 2
-    need = {"must": int(target_must), "cannot": int(target_cannot)}
-    found = {"must": [np.empty((0, 2), np.int64)], "cannot": [np.empty((0, 2), np.int64)]}
-    start = 0
-    step = max(1, ROUTE_FIRST_STEP * (need["must"] + need["cannot"]))
-    while start < attempts and (need["must"] or need["cannot"]):
-        stop = min(start + step, attempts)
-        pair = np.minimum(np.searchsorted(cumw, uniforms[2 * start : 2 * stop], side="right"), n - 1)
-        ii = pair[0::2]
-        jj = pair[1::2]
-        valid = ii != jj
-        ii = ii[valid]
-        jj = jj[valid]
-        inter = np.count_nonzero(labels[ii] & labels[jj], axis=1)
-        denom = (sizes[ii] + sizes[jj]) / 2.0
-        ratio = np.where(denom == 0.0, 1.0, inter / np.where(denom == 0.0, 1.0, denom))
-        to_must = ratio >= theta
-        for kind, mask in (("must", to_must), ("cannot", ~to_must)):
-            take = np.flatnonzero(mask)[: need[kind]]
-            found[kind].append(np.stack([ii[take], jj[take]], axis=1))
-            need[kind] -= take.size
-        start = stop
-        step *= 2
-    return np.concatenate(found["must"]), np.concatenate(found["cannot"])
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .dataset import MultiLabelDataset
 from .errors import ConfigError, ValidationError
 
 DEFAULT_ATTEMPT_FACTOR = 50
+# First sampling step covers this many times the combined targets in
+# attempts; each later step doubles.
+ROUTE_FIRST_STEP = 2
 
 
 @dataclass(frozen=True)
@@ -108,24 +110,40 @@ def sample_constraints(
 ) -> PairConstraintSets:
     """Draw weighted pairs until both lists hit their targets or attempts run out.
 
-    Deterministic for a fixed generator state: the full block of uniforms is
-    drawn up front, so the generator always advances by the same amount no
-    matter how many attempts the routing loop actually needs. A list that is
-    still empty when attempts run out is returned empty; the projection step
-    treats empty lists as zero scatter.
+    Each attempt maps two uniforms to endpoints with :func:`weighted_indices`
+    and routes the pair by its label-overlap ratio; an attempt with i == j
+    is rejected, and a pair whose list is already full is discarded.
+    Attempts are drawn in steps, the first ``ROUTE_FIRST_STEP`` times the
+    combined targets and each later one twice the last, until both lists
+    are full, so the pairs are those of routing one attempt at a time.
+    Deterministic for a fixed generator state, which ends after the last
+    step drawn. A list still short when ``cfg.max_attempts`` run out is
+    returned short, possibly empty; the projection step treats empty lists
+    as zero scatter.
     """
     n = ds.instance_count
     if n < 2:
         raise ConfigError("constraint sampling needs at least 2 instances")
     w = _check_weights(weights, n)
-    uniforms = rng.random(2 * cfg.max_attempts)
-    must, cannot = _kernels.route_pairs(
-        np.cumsum(w),
-        uniforms,
-        ds.labels,
-        ds.labels.sum(axis=1),
-        cfg.theta,
-        cfg.target_must,
-        cfg.target_cannot,
-    )
-    return PairConstraintSets(must=must, cannot=cannot)
+    sizes = ds.labels.sum(axis=1)
+    must = [np.empty((0, 2), np.int64)]
+    cannot = [np.empty((0, 2), np.int64)]
+    need_must, need_cannot = cfg.target_must, cfg.target_cannot
+    start = 0
+    step = max(1, ROUTE_FIRST_STEP * (need_must + need_cannot))
+    while start < cfg.max_attempts and (need_must or need_cannot):
+        stop = min(start + step, cfg.max_attempts)
+        pairs = weighted_indices(w, rng.random(2 * (stop - start))).reshape(-1, 2)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        i, j = pairs[:, 0], pairs[:, 1]
+        inter = np.count_nonzero(ds.labels[i] & ds.labels[j], axis=1)
+        denom = (sizes[i] + sizes[j]) / 2.0
+        ratio = np.where(denom == 0.0, 1.0, inter / np.where(denom == 0.0, 1.0, denom))
+        to_must = ratio >= cfg.theta
+        must.append(pairs[to_must][:need_must])
+        cannot.append(pairs[~to_must][:need_cannot])
+        need_must -= must[-1].shape[0]
+        need_cannot -= cannot[-1].shape[0]
+        start = stop
+        step *= 2
+    return PairConstraintSets(must=np.concatenate(must), cannot=np.concatenate(cannot))

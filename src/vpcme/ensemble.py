@@ -44,20 +44,6 @@ class VpcmeConfig:
             raise ConfigError("seed must be a non-negative integer")
 
 
-@dataclass
-class BoostState:
-    """Instance weights plus the most recent member's training error rate."""
-
-    weights: np.ndarray
-    last_error_rate: float = 0.0
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-9:
-            raise ValidationError("boost weights must be non-negative and sum to 1")
-        self.weights = w
-
-
 @dataclass(frozen=True)
 class VpcmeModel:
     """Ordered (projection, classifier) members plus the training trace.
@@ -130,20 +116,17 @@ def train_vpcme(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
         raise ConfigError(
             f"training needs more than k_neighbors={cfg.k_neighbors} instances, got {n}"
         )
-    state = BoostState(weights=np.full(n, 1.0 / n))
+    weights = np.full(n, 1.0 / n)
     members = []
     log = []
     with one_blas_thread():
         for l in range(cfg.ensemble_size):
-            member, mis, sets = _fit_member(ds, state.weights, cfg, l)
+            member, mis, sets = _fit_member(ds, weights, cfg, l)
             error_rate = float(np.mean(mis))
             if cfg.boosting_enabled and error_rate > 0.0:
-                updated = state.weights.copy()
-                updated[mis] *= 1.0 + error_rate
-                updated /= updated.sum()
-                state = BoostState(weights=updated, last_error_rate=error_rate)
-            else:
-                state = BoostState(weights=state.weights, last_error_rate=error_rate)
+                weights = weights.copy()
+                weights[mis] *= 1.0 + error_rate
+                weights /= weights.sum()
             members.append(member)
             log.append((error_rate, member[0].reduced_dim, sets.n_must, sets.n_cannot))
     return VpcmeModel(members=tuple(members), config=cfg, training_log=tuple(log))
@@ -241,8 +224,8 @@ def save_model(model: VpcmeModel, path, scaler=None) -> None:
 def load_model(path):
     """Inverse of :func:`save_model`; returns (model, scaler_or_None).
 
-    A file that is not a vpcme model, or lacks one of its arrays, raises
-    ``ValidationError`` naming it.
+    A file that is not a vpcme model, lacks one of its arrays, or holds one
+    that does not decode raises ``ValidationError`` naming it.
     """
     try:
         data = np.load(path, allow_pickle=False)
@@ -259,32 +242,37 @@ def load_model(path):
                 raise ValidationError(f"{path}: not a {MODEL_FORMAT} model file, no {key!r} array")
             return data[key]
 
-        cfg = VpcmeConfig(**json.loads(str(read("config"))))
-        count = int(read("member_count"))
-        members = []
-        for i in range(count):
-            w = read(f"m{i}_w")
-            proj = ProjectionModel(
-                w=w,
-                eigenvalues=read(f"m{i}_eigenvalues"),
-                reduced_dim=w.shape[1],
-                scaling_r=float(read(f"m{i}_scaling_r")),
+        # a config that is not JSON or names an unknown field, or an array of
+        # the wrong type or shape, raises one of these while decoding
+        try:
+            cfg = VpcmeConfig(**json.loads(str(read("config"))))
+            count = int(read("member_count"))
+            members = []
+            for i in range(count):
+                w = read(f"m{i}_w")
+                proj = ProjectionModel(
+                    w=w,
+                    eigenvalues=read(f"m{i}_eigenvalues"),
+                    reduced_dim=w.shape[1],
+                    scaling_r=float(read(f"m{i}_scaling_r")),
+                )
+                classifier = MlknnModel(
+                    k_neighbors=int(read(f"m{i}_k_neighbors")),
+                    smoothing=float(read(f"m{i}_smoothing")),
+                    train_points=read(f"m{i}_train_points"),
+                    train_labels=read(f"m{i}_train_labels"),
+                    prior_pos=read(f"m{i}_prior_pos"),
+                    freq_pos=read(f"m{i}_freq_pos"),
+                    freq_neg=read(f"m{i}_freq_neg"),
+                )
+                members.append((proj, classifier))
+            log = tuple(
+                (float(row[0]), int(row[1]), int(row[2]), int(row[3]))
+                for row in read("training_log")
             )
-            classifier = MlknnModel(
-                k_neighbors=int(read(f"m{i}_k_neighbors")),
-                smoothing=float(read(f"m{i}_smoothing")),
-                train_points=read(f"m{i}_train_points"),
-                train_labels=read(f"m{i}_train_labels"),
-                prior_pos=read(f"m{i}_prior_pos"),
-                freq_pos=read(f"m{i}_freq_pos"),
-                freq_neg=read(f"m{i}_freq_neg"),
-            )
-            members.append((proj, classifier))
-        log = tuple(
-            (float(row[0]), int(row[1]), int(row[2]), int(row[3]))
-            for row in read("training_log")
-        )
-        scaler = None
-        if "scaler_mean" in data:
-            scaler = (data["scaler_mean"], read("scaler_scale"))
-        return VpcmeModel(members=tuple(members), config=cfg, training_log=log), scaler
+            scaler = None
+            if "scaler_mean" in data:
+                scaler = (data["scaler_mean"], read("scaler_scale"))
+            return VpcmeModel(members=tuple(members), config=cfg, training_log=log), scaler
+        except (ValueError, TypeError, IndexError) as exc:
+            raise ValidationError(f"{path}: not a {MODEL_FORMAT} model file: {exc}") from exc

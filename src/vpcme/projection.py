@@ -4,7 +4,8 @@ The objective pushes cannot-link pairs apart and pulls must-link pairs
 together: maximize Tr(W' (S_cannot - r * S_must) W) over orthonormal W,
 where each S is the average outer product of pair differences and r
 rescales the must-link term by the ratio of mean squared pair distances.
-The maximizer keeps the eigenvectors of the difference matrix whose
+Both S and r come from one gather of each list's pair differences. The
+maximizer keeps the eigenvectors of the difference matrix whose
 eigenvalues are non-negative.
 """
 
@@ -23,6 +24,7 @@ class ScatterPair:
     s_must: np.ndarray
     n_cannot: int
     n_must: int
+    scaling_r: float
 
 
 @dataclass(frozen=True)
@@ -68,35 +70,31 @@ def _pair_diffs(ds: MultiLabelDataset, pairs: np.ndarray) -> np.ndarray:
 
 
 def scatter_matrices(ds: MultiLabelDataset, sets: PairConstraintSets) -> ScatterPair:
-    """Average outer products of pair differences; empty lists give zeros."""
+    """Average outer products of pair differences, and the scaling r.
+
+    Empty lists give zero matrices. r is the mean squared cannot-link
+    distance over the mean squared must-link distance; it falls back to 1.0
+    when either list is empty or the must-link mean is 0. Each list's
+    differences are gathered once, for both its matrix and its mean.
+    """
     k = ds.feature_count
 
     def one(pairs):
         if pairs.shape[0] == 0:
-            return np.zeros((k, k))
+            return np.zeros((k, k)), 0.0
         diffs = _pair_diffs(ds, pairs)
-        return diffs.T @ diffs / (2.0 * pairs.shape[0])
+        m = pairs.shape[0]
+        return diffs.T @ diffs / (2.0 * m), float((diffs**2).sum()) / m
 
+    s_cannot, mean_c = one(sets.cannot)
+    s_must, mean_m = one(sets.must)
     return ScatterPair(
-        s_cannot=one(sets.cannot),
-        s_must=one(sets.must),
+        s_cannot=s_cannot,
+        s_must=s_must,
         n_cannot=sets.n_cannot,
         n_must=sets.n_must,
+        scaling_r=mean_c / mean_m if sets.n_cannot and mean_m != 0.0 else 1.0,
     )
-
-
-def scaling_coefficient(ds: MultiLabelDataset, sets: PairConstraintSets) -> float:
-    """Mean squared cannot-link distance over mean squared must-link distance.
-
-    Falls back to 1.0 when either list is empty or the must-link mean is 0.
-    """
-    if sets.n_cannot == 0 or sets.n_must == 0:
-        return 1.0
-    mean_c = float((_pair_diffs(ds, sets.cannot) ** 2).sum()) / sets.n_cannot
-    mean_m = float((_pair_diffs(ds, sets.must) ** 2).sum()) / sets.n_must
-    if mean_m == 0.0:
-        return 1.0
-    return mean_c / mean_m
 
 
 def symmetric_eigen(a) -> tuple[np.ndarray, np.ndarray]:
@@ -128,9 +126,8 @@ def fit_projection(ds: MultiLabelDataset, sets: PairConstraintSets) -> Projectio
     none, keeps the single largest so downstream classifiers always get at
     least one dimension.
     """
-    r = scaling_coefficient(ds, sets)
     pair = scatter_matrices(ds, sets)
-    difference = pair.s_cannot - r * pair.s_must
+    difference = pair.s_cannot - pair.scaling_r * pair.s_must
     values, vectors = symmetric_eigen(difference)
     d = int(np.count_nonzero(values >= 0.0))
     if d == 0:
@@ -139,7 +136,7 @@ def fit_projection(ds: MultiLabelDataset, sets: PairConstraintSets) -> Projectio
         w=vectors[:, :d],
         eigenvalues=values[:d],
         reduced_dim=d,
-        scaling_r=r,
+        scaling_r=pair.scaling_r,
     )
 
 

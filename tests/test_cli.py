@@ -354,6 +354,20 @@ class TestEntryPoint:
         message = f"{model_path}: not a vpcme-model/1 model file, no 'm0_w' array"
         assert message in capsys.readouterr().err
 
+    def test_predict_rejects_a_model_archive_with_a_malformed_array(self, data_csv, tmp_path, capsys):
+        model_path = str(tmp_path / "model.npz")
+        assert run_cli(
+            "train", "--data", data_csv, "--labels", "3", "--ensemble-size", "1", "--k", "5",
+            "--out", model_path,
+        ) == 0
+        with np.load(model_path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["member_count"] = "x"
+        np.savez(model_path, **arrays)
+        assert run_cli("predict", "--model", model_path, "--data", data_csv, "--labels", "3") == 2
+        message = f"{model_path}: not a vpcme-model/1 model file: invalid literal for int()"
+        assert message in capsys.readouterr().err
+
     def test_compare_needs_two_methods(self, data_csv):
         assert run_cli(
             "compare", "--data", data_csv, "--labels", "3", "--method", "vpcme",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,19 @@ class TestSampleConstraints:
         sets = sample_constraints(ds, weights, cfg, rng_from(0))
         assert sets.n_must == 0
         assert sets.n_cannot == 0
+
+    def test_peak_memory_does_not_grow_with_the_attempt_budget(self):
+        ds = synthetic_dataset(200, 5, 4, seed=2)
+        weights = uniform(200)
+        cfg = ConstraintConfig(theta=0.5, target_must=20, target_cannot=20, max_attempts=10**6)
+        tracemalloc.start()
+        try:
+            sets = sample_constraints(ds, weights, cfg, rng_from(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (sets.n_must, sets.n_cannot) == (20, 20)
+        assert peak < 1 << 20  # a block of 2 * max_attempts uniforms is 16 MB
 
     def test_single_instance_rejected(self):
         ds = MultiLabelDataset(np.zeros((1, 1)), np.array([[True, False]]))

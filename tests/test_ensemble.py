@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from vpcme.constraints import ConstraintConfig, sample_constraints
-from vpcme.dataset import synthetic_dataset
+from vpcme.dataset import MultiLabelDataset, synthetic_dataset
 from vpcme.ensemble import (
-    BoostState,
     VpcmeConfig,
     VpcmeModel,
     load_model,
@@ -64,12 +63,6 @@ class TestTraining:
         assert np.array_equal(scores, expect)
         assert np.array_equal(bip, expect > 0.5)
 
-    def test_zero_error_leaves_weights_untouched(self):
-        state = BoostState(weights=np.full(4, 0.25))
-        # the update rule with error rate 0 multiplies by 1
-        updated = state.weights * (1.0 + 0.0)
-        assert np.array_equal(updated / updated.sum(), state.weights)
-
     def test_hand_weight_update(self):
         # uniform quarter weights, instance 0 misclassified, rate 0.25
         weights = np.full(4, 0.25)
@@ -113,6 +106,22 @@ class TestTraining:
         for _, _, n_must, n_cannot in model.training_log:
             assert n_must <= 10
             assert n_cannot <= 15
+
+    def test_must_link_shortfall_completes_with_cannot_links_only(self):
+        # distinct non-empty label sets: every pair's overlap ratio is below 1,
+        # so at theta = 1 no pair is must-linked
+        rng = np.random.Generator(np.random.PCG64(17))
+        labels = ((np.arange(1, 25)[:, None] >> np.arange(5)) & 1).astype(bool)
+        ds = MultiLabelDataset(rng.normal(size=(24, 4)), labels)
+        model = train_vpcme(ds, quick_cfg(theta=1.0))
+        assert len(model.training_log) == 3
+        for _, _, n_must, n_cannot in model.training_log:
+            assert n_must == 0
+            assert n_cannot == 24
+        for proj, _ in model.members:
+            assert proj.scaling_r == 1.0
+        _, scores = predict_ensemble(model, ds.features)
+        assert np.all(np.isfinite(scores))
 
 
 class TestBoostingWeights:
@@ -294,6 +303,29 @@ class TestPersistence:
             kept = {key: data[key] for key in data.files if key != missing}
         np.savez(path, **kept)
         message = f"{path}: not a vpcme-model/1 model file, no '{missing}' array"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("config", "not json"),
+            ("config", '{"ensemble_size": 2, "bogus": 1}'),
+            ("member_count", "x"),
+            ("m0_w", np.ones(4)),
+            ("training_log", np.zeros((4, 2))),
+        ],
+        ids=["config-not-json", "config-unknown-key", "member-count-not-int", "w-1d", "log-4x2"],
+    )
+    def test_archive_with_a_malformed_array_is_not_a_model(self, tmp_path, key, value):
+        ds = small_dataset(seed=33)
+        path = str(tmp_path / "model.npz")
+        save_model(train_vpcme(ds, quick_cfg(ensemble_size=2)), path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays[key] = value
+        np.savez(path, **arrays)
+        message = f"{path}: not a vpcme-model/1 model file: "
         with pytest.raises(ValidationError, match=re.escape(message)):
             load_model(path)
 

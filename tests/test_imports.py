@@ -1,0 +1,60 @@
+"""The package's modules do not import each other's private helpers: no
+``from .x import _name`` and no ``mod._name`` on a sibling module bound by
+``from . import mod``. Dunder names such as ``__version__`` are not helpers."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vpcme"
+
+
+def is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_uses(source):
+    """(line, text) of each use of a sibling module's private name."""
+    tree = ast.parse(source)
+    siblings = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    siblings.add(alias.asname or alias.name)
+                elif is_private(alias.name):
+                    found.append((node.lineno, f"from .{node.module} import {alias.name}"))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in siblings
+            and is_private(node.attr)
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_no_private_helper_of_a_sibling(path):
+    assert private_uses(path.read_text()) == []
+
+
+def test_both_kinds_of_private_use_are_caught():
+    source = (
+        "from . import _kernels, __version__\n"
+        "from . import dataset as ds\n"
+        "from .errors import ConfigError, _hidden\n"
+        "from .x import __version__\n"
+        "_kernels.knn(1)\n"
+        "_kernels._brute_force(1)\n"
+        "ds._parse(2)\n"
+        "local._private(3)\n"
+    )
+    assert private_uses(source) == [
+        (3, "from .errors import _hidden"),
+        (6, "_kernels._brute_force"),
+        (7, "ds._parse"),
+    ]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from vpcme import _kernels, ensemble, harness
+from vpcme import _kernels, constraints, ensemble, harness
 from vpcme.constraints import ConstraintConfig, sample_constraints
 from vpcme.dataset import MultiLabelDataset, save_csv, synthetic_dataset
 from vpcme.ensemble import VpcmeConfig, predict_ensemble, train_single_mlknn, train_vpcme
@@ -185,10 +185,10 @@ def route_sequential(cumw, uniforms, labels, theta, target_must, target_cannot):
     return must, cannot
 
 
-@pytest.mark.parametrize("first_step", [0, _kernels.ROUTE_FIRST_STEP])  # 0: steps of 1, 2, 4, ...
+@pytest.mark.parametrize("first_step", [0, constraints.ROUTE_FIRST_STEP])  # 0: steps of 1, 2, 4, ...
 @pytest.mark.parametrize("theta", [0.0, 0.4, 0.8, 1.0])
 def test_route_pairs_matches_sequential_reference(theta, first_step, monkeypatch):
-    monkeypatch.setattr(_kernels, "ROUTE_FIRST_STEP", first_step)
+    monkeypatch.setattr(constraints, "ROUTE_FIRST_STEP", first_step)
     rng = np.random.Generator(np.random.PCG64(3))
     ds = synthetic_dataset(25, 3, 4, seed=1, label_noise=0.3)
     weights = rng.random(25)

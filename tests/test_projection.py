@@ -7,7 +7,6 @@ from vpcme.errors import ValidationError
 from vpcme.projection import (
     ProjectionModel,
     fit_projection,
-    scaling_coefficient,
     scatter_matrices,
     symmetric_eigen,
     transform,
@@ -71,23 +70,28 @@ class TestScalingCoefficient:
         # cannot pair distance^2 = 4, must pair distance^2 = 1
         ds = toy_dataset()
         sets = PairConstraintSets(must=pairs((0, 2)), cannot=pairs((0, 1)))
-        assert scaling_coefficient(ds, sets) == 4.0
+        assert scatter_matrices(ds, sets).scaling_r == 4.0
 
     def test_identical_lists_give_one(self):
         ds = toy_dataset()
         sets = PairConstraintSets(must=pairs((0, 1), (1, 2)), cannot=pairs((0, 1), (1, 2)))
-        assert scaling_coefficient(ds, sets) == 1.0
+        assert scatter_matrices(ds, sets).scaling_r == 1.0
 
     def test_empty_must_falls_back_to_one(self):
         ds = toy_dataset()
         sets = PairConstraintSets(must=pairs(), cannot=pairs((0, 1)))
-        assert scaling_coefficient(ds, sets) == 1.0
+        assert scatter_matrices(ds, sets).scaling_r == 1.0
+
+    def test_empty_cannot_falls_back_to_one(self):
+        ds = toy_dataset()
+        sets = PairConstraintSets(must=pairs((0, 1)), cannot=pairs())
+        assert scatter_matrices(ds, sets).scaling_r == 1.0
 
     def test_zero_must_distance_falls_back_to_one(self):
         x = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 3.0]])
         ds = MultiLabelDataset(x, np.ones((3, 2), dtype=bool))
         sets = PairConstraintSets(must=pairs((0, 1)), cannot=pairs((0, 2)))
-        assert scaling_coefficient(ds, sets) == 1.0
+        assert scatter_matrices(ds, sets).scaling_r == 1.0
 
 
 class TestSymmetricEigen:
