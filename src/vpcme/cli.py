@@ -228,21 +228,18 @@ def _cmd_train(args):
     if not args.out:
         raise VpcmeError("train requires --out for the model file")
     cfg = _experiment_config(args)
-    model, scaler = train_method(cfg, load_csv(args.data, args.labels), cfg.seed)
-    save_model(model, args.out, scaler=scaler)
+    model = train_method(cfg, load_csv(args.data, args.labels), cfg.seed)
+    save_model(model, args.out)
     print(f"model with {len(model.members)} member(s) written to {args.out}", file=sys.stderr)
 
 
 def _cmd_predict(args):
-    model, scaler = load_model(args.model)
+    model = load_model(args.model)
     features, _ = load_features(args.data, args.labels)
     if features.shape[1] != model.feature_count:
         raise VpcmeError(
             f"{args.data}: expected {model.feature_count} feature columns, got {features.shape[1]}"
         )
-    if scaler is not None:
-        mean, scale = scaler
-        features = (features - mean) / scale
     bipartitions, scores = predict_ensemble(model, features)
     r = model.label_count
     header = [f"score_{i}" for i in range(r)] + [f"pred_{i}" for i in range(r)]

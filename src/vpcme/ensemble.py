@@ -49,22 +49,42 @@ class VpcmeModel:
     """Ordered (projection, classifier) members plus the training trace.
 
     ``training_log`` holds one (error_rate, reduced_dim, n_must, n_cannot)
-    tuple per member.
+    tuple per member. ``scaler`` is None or the (mean, scale) pair that
+    :func:`predict_ensemble` applies to every query, ``(x - mean) / scale``,
+    because the members were trained on features standardized that way.
     """
 
     members: tuple
     config: VpcmeConfig
     training_log: tuple
+    scaler: tuple | None = None
 
     def __post_init__(self):
         members = tuple(self.members)
         if len(members) != self.config.ensemble_size:
             raise ValidationError("member count must equal the configured ensemble size")
+        first_proj, first_classifier = members[0]
         for proj, classifier in members:
             if classifier.dim != proj.reduced_dim:
                 raise ValidationError("classifier dimension must match its projection")
+            if (proj.input_dim != first_proj.input_dim
+                    or classifier.label_count != first_classifier.label_count):
+                raise ValidationError("members must share their feature and label counts")
+        log = tuple(tuple(t) for t in self.training_log)
+        if len(log) != len(members):
+            raise ValidationError("training_log must hold one row per member")
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "training_log", tuple(tuple(t) for t in self.training_log))
+        object.__setattr__(self, "training_log", log)
+        if self.scaler is not None:
+            mean, scale = (np.array(a, dtype=np.float64) for a in self.scaler)
+            width = (first_proj.input_dim,)
+            if mean.shape != width or scale.shape != width:
+                raise ValidationError(f"scaler mean and scale must have shape {width}")
+            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale) & (scale > 0.0))):
+                raise ValidationError("scaler mean must be finite, and its scale finite and positive")
+            mean.setflags(write=False)
+            scale.setflags(write=False)
+            object.__setattr__(self, "scaler", (mean, scale))
 
     @property
     def feature_count(self) -> int:
@@ -98,11 +118,15 @@ def _fit_member(ds, weights, cfg, member_index):
     )
     sets = sample_constraints(ds, weights, constraint_cfg, rng)
     proj = fit_projection(ds, sets)
-    z = transform(proj, ds.features)
-    classifier = fit_mlknn(z, ds.labels, cfg.k_neighbors, cfg.smoothing)
-    train_preds = posterior_scores(classifier, z) > 0.5
-    mis = (train_preds != ds.labels).any(axis=1)
+    classifier, mis = _fit_classifier(transform(proj, ds.features), ds.labels, cfg)
     return (proj, classifier), mis, sets
+
+
+def _fit_classifier(points, labels, cfg):
+    """MLKNN on ``points`` plus the training rows it gets wrong (exact label set)."""
+    classifier = fit_mlknn(points, labels, cfg.k_neighbors, cfg.smoothing)
+    train_preds = posterior_scores(classifier, points) > 0.5
+    return classifier, (train_preds != labels).any(axis=1)
 
 
 def train_vpcme(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
@@ -142,9 +166,8 @@ def train_single_mlknn(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
         scaling_r=1.0,
     )
     with one_blas_thread():
-        classifier = fit_mlknn(ds.features, ds.labels, cfg.k_neighbors, cfg.smoothing)
-        train_preds = posterior_scores(classifier, ds.features) > 0.5
-    error_rate = float(np.mean((train_preds != ds.labels).any(axis=1)))
+        classifier, mis = _fit_classifier(ds.features, ds.labels, cfg)
+    error_rate = float(np.mean(mis))
     single_cfg = VpcmeConfig(
         ensemble_size=1,
         theta=cfg.theta,
@@ -165,7 +188,8 @@ def predict_ensemble(model: VpcmeModel, x):
 
     A label is predicted when strictly more than half the members vote for
     it; an exact half split falls back to the mean score against 0.5.
-    Accepts a single feature vector or a matrix of rows. Members score on
+    Accepts a single feature vector or a matrix of rows of raw features;
+    a model with a scaler standardizes them itself. Members score on
     ``parallel_map``'s thread pool; votes and scores add up in member order.
     """
     arr = np.asarray(x, dtype=np.float64)
@@ -174,6 +198,9 @@ def predict_ensemble(model: VpcmeModel, x):
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != model.feature_count:
         raise ValidationError(f"query width must be {model.feature_count}")
+    if model.scaler is not None:
+        mean, scale = model.scaler
+        arr = (arr - mean) / scale
     if not np.all(np.isfinite(arr)):
         raise ValidationError("query matrix contains non-finite values")
     s = len(model.members)
@@ -194,7 +221,7 @@ def predict_ensemble(model: VpcmeModel, x):
     return bipartition, mean_scores
 
 
-def save_model(model: VpcmeModel, path, scaler=None) -> None:
+def save_model(model: VpcmeModel, path) -> None:
     """Persist everything needed to reproduce predictions bit-exactly."""
     payload = {
         "format": MODEL_FORMAT,
@@ -202,10 +229,8 @@ def save_model(model: VpcmeModel, path, scaler=None) -> None:
         "member_count": np.int64(len(model.members)),
         "training_log": np.array(model.training_log, dtype=np.float64).reshape(-1, 4),
     }
-    if scaler is not None:
-        mean, scale = scaler
-        payload["scaler_mean"] = np.asarray(mean, dtype=np.float64)
-        payload["scaler_scale"] = np.asarray(scale, dtype=np.float64)
+    if model.scaler is not None:
+        payload["scaler_mean"], payload["scaler_scale"] = model.scaler
     for i, (proj, classifier) in enumerate(model.members):
         payload[f"m{i}_w"] = proj.w
         payload[f"m{i}_eigenvalues"] = proj.eigenvalues
@@ -222,10 +247,12 @@ def save_model(model: VpcmeModel, path, scaler=None) -> None:
 
 
 def load_model(path):
-    """Inverse of :func:`save_model`; returns (model, scaler_or_None).
+    """Inverse of :func:`save_model`; returns the :class:`VpcmeModel`.
 
     A file that is not a vpcme model, lacks one of its arrays, or holds one
-    that does not decode raises ``ValidationError`` naming it.
+    that does not decode or that the model types reject (a shape that
+    disagrees with the rest of the model, say) raises ``ValidationError``
+    naming it.
     """
     try:
         data = np.load(path, allow_pickle=False)
@@ -239,11 +266,12 @@ def load_model(path):
 
         def read(key):
             if key not in data:
-                raise ValidationError(f"{path}: not a {MODEL_FORMAT} model file, no {key!r} array")
+                raise KeyError(key)
             return data[key]
 
         # a config that is not JSON or names an unknown field, or an array of
-        # the wrong type or shape, raises one of these while decoding
+        # the wrong type or shape, raises one of these while decoding or in
+        # the model types' checks
         try:
             cfg = VpcmeConfig(**json.loads(str(read("config"))))
             count = int(read("member_count"))
@@ -271,8 +299,12 @@ def load_model(path):
                 for row in read("training_log")
             )
             scaler = None
-            if "scaler_mean" in data:
-                scaler = (data["scaler_mean"], read("scaler_scale"))
-            return VpcmeModel(members=tuple(members), config=cfg, training_log=log), scaler
-        except (ValueError, TypeError, IndexError) as exc:
+            if "scaler_mean" in data or "scaler_scale" in data:
+                scaler = (read("scaler_mean"), read("scaler_scale"))
+            return VpcmeModel(members=tuple(members), config=cfg, training_log=log, scaler=scaler)
+        except KeyError as exc:
+            raise ValidationError(
+                f"{path}: not a {MODEL_FORMAT} model file, no {exc.args[0]!r} array"
+            ) from None
+        except (ValidationError, ValueError, TypeError, IndexError) as exc:
             raise ValidationError(f"{path}: not a {MODEL_FORMAT} model file: {exc}") from exc

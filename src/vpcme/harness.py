@@ -165,9 +165,9 @@ def _load(cfg: ExperimentConfig, dataset):
 def train_method(cfg: ExperimentConfig, train_ds: MultiLabelDataset, seed: int):
     """Train ``cfg.method`` on ``train_ds`` with the given member seed.
 
-    Returns (model, scaler). With ``cfg.zscore`` the features are
-    standardized first and scaler is the (mean, scale) pair that queries
-    must go through; otherwise it is None.
+    Returns the :class:`VpcmeModel`. With ``cfg.zscore`` the features are
+    standardized first and the model carries the (mean, scale) pair as its
+    ``scaler``, so :func:`predict_ensemble` takes raw features either way.
     """
     scaler = None
     if cfg.zscore:
@@ -187,7 +187,8 @@ def train_method(cfg: ExperimentConfig, train_ds: MultiLabelDataset, seed: int):
         seed=seed,
         boosting_enabled=cfg.method == "vpcme",
     )
-    return trainer(train_ds, vpcme_cfg), scaler
+    model = trainer(train_ds, vpcme_cfg)
+    return model if scaler is None else replace(model, scaler=scaler)
 
 
 def cross_validate(cfg: ExperimentConfig, dataset: MultiLabelDataset = None) -> EvaluationReport:
@@ -204,12 +205,8 @@ def cross_validate(cfg: ExperimentConfig, dataset: MultiLabelDataset = None) -> 
         test_idx = assignments[repeat].test_indices(fold)
         train_idx = assignments[repeat].train_indices(fold)
         assert np.intersect1d(train_idx, test_idx).size == 0
-        model, scaler = train_method(cfg, ds.subset(train_idx), _train_seed(cfg.seed, repeat, fold))
-        test_x = ds.features[test_idx]
-        if scaler is not None:
-            mean, scale = scaler
-            test_x = (test_x - mean) / scale
-        bipartitions, scores = predict_ensemble(model, test_x)
+        model = train_method(cfg, ds.subset(train_idx), _train_seed(cfg.seed, repeat, fold))
+        bipartitions, scores = predict_ensemble(model, ds.features[test_idx])
         return evaluate_all(ds.labels[test_idx], bipartitions, scores)
 
     unit_values = {name: [] for name in METRIC_NAMES}

@@ -7,6 +7,7 @@ the smoothed priors with the smoothed count likelihoods into a posterior
 probability per label.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,9 @@ class MlknnModel:
             raise ValidationError("freq_pos rows must sum to the per-label positive counts")
         if not np.array_equal(fneg.sum(axis=1), n - pos_totals):
             raise ValidationError("freq_neg rows must sum to the per-label negative counts")
-        if np.any(prior <= 0.0) or np.any(prior >= 1.0):
+        if prior.shape != (r,):
+            raise ValidationError("prior_pos must have shape (labels,)")
+        if not np.all((prior > 0.0) & (prior < 1.0)):
             raise ValidationError("smoothed priors must lie strictly inside (0, 1)")
         for arr, name in ((points, "train_points"), (labels, "train_labels"),
                           (prior, "prior_pos"), (fpos, "freq_pos"), (fneg, "freq_neg")):
@@ -94,8 +97,8 @@ def fit_mlknn(points, labels, k_neighbors: int = DEFAULT_K,
         raise ConfigError(f"k_neighbors={k} must be smaller than the instance count {n}")
     if k < 1:
         raise ConfigError("k_neighbors must be at least 1")
-    if s <= 0.0:
-        raise ConfigError("smoothing must be positive")
+    if not (math.isfinite(s) and s > 0.0):
+        raise ConfigError(f"smoothing must be finite and positive, got {s}")
 
     neighbors, distances = _kernels.knn(points, points, k, exclude_self=True)
     counts = labels[neighbors].sum(axis=1)  # (n, r) positives among each row's neighbors

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vpcme.cli import main
-from vpcme.dataset import load_csv, save_csv, synthetic_dataset
+from vpcme.dataset import format_rows, load_csv, load_features, save_csv, synthetic_dataset
 from vpcme.ensemble import load_model, predict_ensemble
 
 METRIC_SCHEMA = {
@@ -226,7 +226,7 @@ class TestTrainPredict:
         assert header == [f"score_{i}" for i in range(3)] + [f"pred_{i}" for i in range(3)]
         ds = load_csv(data_csv, 3)
         assert len(lines) == ds.instance_count + 1
-        model, _ = load_model(model_path)
+        model = load_model(model_path)
         bip, scores = predict_ensemble(model, ds.features)
         first = [float(v) for v in lines[1].split(",")]
         assert np.allclose(first[:3], scores[0], atol=0)
@@ -297,14 +297,35 @@ class TestTrainPredict:
         assert run_cli("predict", "--model", model_path, "--data", bad, "--labels", "1") == 2
         assert "outside {0, 1}" in capsys.readouterr().err
 
-    def test_zscore_scaler_travels_with_model(self, data_csv, tmp_path):
+    def test_zscore_model_predicts_from_raw_features(self, data_csv, tmp_path):
         model_path = str(tmp_path / "model.npz")
         assert run_cli(
-            "train", "--data", data_csv, "--labels", "3", "--method", "mlknn_single",
-            "--k", "5", "--zscore", "--out", model_path,
+            "train", "--data", data_csv, "--labels", "3", "--method", "vpcme",
+            "--ensemble-size", "2", "--k", "5", "--zscore", "--out", model_path,
         ) == 0
-        _, scaler = load_model(model_path)
-        assert scaler is not None
+        pred_path = str(tmp_path / "pred.csv")
+        assert run_cli("predict", "--model", model_path, "--data", data_csv, "--labels", "3",
+                       "--out", pred_path) == 0
+        model = load_model(model_path)
+        assert model.scaler is not None
+        features, _ = load_features(data_csv, 3)
+        bip, scores = predict_ensemble(model, features)
+        with open(pred_path) as handle:
+            body = handle.read().split("\n", 1)[1]
+        assert body == format_rows(scores, bip)
+
+    @pytest.mark.parametrize("smoothing", ["nan", "inf", "0"])
+    def test_train_rejects_a_smoothing_that_is_not_finite_and_positive(
+        self, data_csv, tmp_path, capsys, smoothing
+    ):
+        model_path = str(tmp_path / "model.npz")
+        assert run_cli(
+            "train", "--data", data_csv, "--labels", "3", "--ensemble-size", "1", "--k", "5",
+            f"--smoothing={smoothing}", "--out", model_path,
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: smoothing must be finite and positive")
+        assert err.count("\n") == 1
 
 
 class TestEntryPoint:
@@ -367,6 +388,38 @@ class TestEntryPoint:
         assert run_cli("predict", "--model", model_path, "--data", data_csv, "--labels", "3") == 2
         message = f"{model_path}: not a vpcme-model/1 model file: invalid literal for int()"
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,edit,message",
+        [
+            ("scaler_scale", lambda a: a[:2], "scaler mean and scale must have shape (3,)"),
+            ("scaler_scale", lambda a: np.zeros_like(a), "its scale finite and positive"),
+            ("m0_prior_pos", lambda a: np.full(5, 0.5), "prior_pos must have shape (labels,)"),
+            ("scaler_mean", None, "no 'scaler_mean' array"),
+        ],
+        ids=["scale-short", "scale-zero", "prior-long", "scale-alone"],
+    )
+    def test_predict_rejects_an_archive_with_a_bad_scaler_or_prior(
+        self, data_csv, tmp_path, capsys, key, edit, message
+    ):
+        model_path = str(tmp_path / "model.npz")
+        assert run_cli(
+            "train", "--data", data_csv, "--labels", "3", "--ensemble-size", "1", "--k", "5",
+            "--zscore", "--out", model_path,
+        ) == 0
+        with np.load(model_path) as data:
+            arrays = {name: data[name] for name in data.files}
+        if edit is None:
+            del arrays[key]
+        else:
+            arrays[key] = edit(arrays[key])
+        np.savez(model_path, **arrays)
+        capsys.readouterr()
+        assert run_cli("predict", "--model", model_path, "--data", data_csv, "--labels", "3") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_path}: not a vpcme-model/1 model file")
+        assert message in err
+        assert err.count("\n") == 1
 
     def test_compare_needs_two_methods(self, data_csv):
         assert run_cli(

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,15 @@ def quick_cfg(**overrides):
     base = dict(ensemble_size=3, theta=0.6, k_neighbors=5, smoothing=1.0, seed=7)
     base.update(overrides)
     return VpcmeConfig(**base)
+
+
+def drop_last_label_of_m1(arrays):
+    """Member 1's label column 2 and its tables cut away: a consistent member
+    whose label count disagrees with member 0's."""
+    cut = {"m1_train_labels": arrays["m1_train_labels"][:, :2]}
+    for name in ("prior_pos", "freq_pos", "freq_neg"):
+        cut[f"m1_{name}"] = arrays[f"m1_{name}"][:2]
+    return cut
 
 
 class TestMisclassified:
@@ -238,6 +248,19 @@ class TestPrediction:
         with pytest.raises(ValidationError, match="non-finite"):
             predict_ensemble(model, queries)
 
+    def test_scaler_standardizes_queries_before_the_members_see_them(self):
+        ds = small_dataset(seed=21)
+        model = train_vpcme(ds, quick_cfg(ensemble_size=3))
+        mean = ds.features.mean(axis=0) + 0.25
+        scale = ds.features.std(axis=0) * 1.5
+        scaled = replace(model, scaler=(mean, scale))
+        for raw in (ds.features[:9], ds.features[4]):
+            bip_a, scores_a = predict_ensemble(scaled, raw)
+            bip_b, scores_b = predict_ensemble(model, (raw - mean) / scale)
+            assert scores_a.shape == scores_b.shape
+            assert scores_a.tobytes() == scores_b.tobytes()
+            assert np.array_equal(bip_a, bip_b)
+
 
 class TestSingleMlknn:
     def test_identity_projection_member(self):
@@ -259,8 +282,8 @@ class TestPersistence:
         model = train_vpcme(ds, quick_cfg())
         path = str(tmp_path / "model.npz")
         save_model(model, path)
-        loaded, scaler = load_model(path)
-        assert scaler is None
+        loaded = load_model(path)
+        assert loaded.scaler is None
         assert loaded.config == model.config
         assert loaded.training_log == model.training_log
         bip_a, scores_a = predict_ensemble(model, ds.features)
@@ -270,12 +293,12 @@ class TestPersistence:
 
     def test_scaler_round_trip(self, tmp_path):
         ds = small_dataset(seed=31)
-        model = train_vpcme(ds, quick_cfg(ensemble_size=1))
         mean = ds.features.mean(axis=0)
         scale = ds.features.std(axis=0)
+        model = replace(train_vpcme(ds, quick_cfg(ensemble_size=1)), scaler=(mean, scale))
         path = str(tmp_path / "model.npz")
-        save_model(model, path, scaler=(mean, scale))
-        _, scaler = load_model(path)
+        save_model(model, path)
+        scaler = load_model(path).scaler
         assert np.array_equal(scaler[0], mean)
         assert np.array_equal(scaler[1], scale)
 
@@ -293,12 +316,14 @@ class TestPersistence:
         with pytest.raises(ValidationError, match=re.escape(f"{path}: not a vpcme-model/1 model file")):
             load_model(path)
 
-    @pytest.mark.parametrize("missing", ["m0_w", "m1_freq_neg", "training_log", "scaler_scale"])
+    @pytest.mark.parametrize(
+        "missing", ["m0_w", "m1_freq_neg", "training_log", "scaler_scale", "scaler_mean"]
+    )
     def test_archive_missing_an_array_is_not_a_model(self, tmp_path, missing):
         ds = small_dataset(seed=33)
         path = str(tmp_path / "model.npz")
         scaler = (np.zeros(ds.feature_count), np.ones(ds.feature_count))
-        save_model(train_vpcme(ds, quick_cfg(ensemble_size=2)), path, scaler=scaler)
+        save_model(replace(train_vpcme(ds, quick_cfg(ensemble_size=2)), scaler=scaler), path)
         with np.load(path) as data:
             kept = {key: data[key] for key in data.files if key != missing}
         np.savez(path, **kept)
@@ -307,23 +332,29 @@ class TestPersistence:
             load_model(path)
 
     @pytest.mark.parametrize(
-        "key,value",
+        "edit",
         [
-            ("config", "not json"),
-            ("config", '{"ensemble_size": 2, "bogus": 1}'),
-            ("member_count", "x"),
-            ("m0_w", np.ones(4)),
-            ("training_log", np.zeros((4, 2))),
+            lambda a: {"config": "not json"},
+            lambda a: {"config": '{"ensemble_size": 2, "bogus": 1}'},
+            lambda a: {"member_count": "x"},
+            lambda a: {"m0_w": np.ones(4)},
+            lambda a: {"training_log": np.zeros((4, 2))},
+            lambda a: {"scaler_scale": np.ones(2)},
+            lambda a: {"scaler_scale": np.zeros(4)},
+            lambda a: {"m0_prior_pos": np.full(5, 0.5)},
+            drop_last_label_of_m1,
         ],
-        ids=["config-not-json", "config-unknown-key", "member-count-not-int", "w-1d", "log-4x2"],
+        ids=["config-not-json", "config-unknown-key", "member-count-not-int", "w-1d", "log-4x2",
+             "scale-2-of-4", "scale-zero", "prior-5-of-3", "m1-one-label-short"],
     )
-    def test_archive_with_a_malformed_array_is_not_a_model(self, tmp_path, key, value):
+    def test_archive_with_a_malformed_array_is_not_a_model(self, tmp_path, edit):
         ds = small_dataset(seed=33)
         path = str(tmp_path / "model.npz")
-        save_model(train_vpcme(ds, quick_cfg(ensemble_size=2)), path)
+        scaler = (ds.features.mean(axis=0), ds.features.std(axis=0))
+        save_model(replace(train_vpcme(ds, quick_cfg(ensemble_size=2)), scaler=scaler), path)
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
-        arrays[key] = value
+        arrays.update(edit(arrays))
         np.savez(path, **arrays)
         message = f"{path}: not a vpcme-model/1 model file: "
         with pytest.raises(ValidationError, match=re.escape(message)):
@@ -357,3 +388,40 @@ class TestModelValidation:
                 config=VpcmeConfig(ensemble_size=1),
                 training_log=((0.0, 1, 0, 0),),
             )
+
+    def test_members_must_share_feature_and_label_counts(self):
+        ds = small_dataset(seed=35)
+        a = train_vpcme(ds, quick_cfg(ensemble_size=1))
+        narrow = MultiLabelDataset(ds.features[:, :3], ds.labels)
+        b = train_vpcme(narrow, quick_cfg(ensemble_size=1))
+        fewer = MultiLabelDataset(ds.features, ds.labels[:, :2])
+        c = train_vpcme(fewer, quick_cfg(ensemble_size=1))
+        for other in (b, c):
+            with pytest.raises(ValidationError, match="share their feature and label counts"):
+                VpcmeModel(
+                    members=a.members + other.members,
+                    config=quick_cfg(ensemble_size=2),
+                    training_log=a.training_log + other.training_log,
+                )
+
+    def test_training_log_needs_one_row_per_member(self):
+        model = train_vpcme(small_dataset(seed=37), quick_cfg(ensemble_size=2))
+        with pytest.raises(ValidationError, match="one row per member"):
+            replace(model, training_log=model.training_log[:1])
+
+    @pytest.mark.parametrize(
+        "mean,scale",
+        [
+            (np.zeros(4), np.ones(3)),
+            (np.zeros(5), np.ones(4)),
+            (np.zeros(4), np.array([1.0, 0.0, 1.0, 1.0])),
+            (np.zeros(4), np.array([1.0, -2.0, 1.0, 1.0])),
+            (np.zeros(4), np.array([1.0, np.inf, 1.0, 1.0])),
+            (np.array([0.0, np.nan, 0.0, 0.0]), np.ones(4)),
+        ],
+        ids=["scale-short", "mean-long", "scale-zero", "scale-negative", "scale-inf", "mean-nan"],
+    )
+    def test_scaler_must_fit_the_features(self, mean, scale):
+        model = train_vpcme(small_dataset(seed=39), quick_cfg(ensemble_size=1))
+        with pytest.raises(ValidationError, match="scaler"):
+            replace(model, scaler=(mean, scale))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,23 @@ class TestFit:
         labels = np.zeros((3, 2), dtype=bool)
         with pytest.raises(ConfigError):
             fit_mlknn(points, labels, k_neighbors=3)
+
+    @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), 0.0])
+    def test_smoothing_must_be_finite_and_positive(self, smoothing):
+        points = np.arange(4, dtype=float)[:, None]
+        labels = np.array([[1, 0], [0, 1], [1, 1], [0, 0]], dtype=bool)
+        with pytest.raises(ConfigError, match="smoothing must be finite and positive"):
+            fit_mlknn(points, labels, k_neighbors=1, smoothing=smoothing)
+
+    @pytest.mark.parametrize(
+        "prior",
+        [np.array([0.5, np.nan]), np.array([0.5, 1.0]), np.array([0.5, 0.5, 0.5])],
+        ids=["nan", "one", "long"],
+    )
+    def test_model_rejects_priors_outside_the_open_unit_interval_or_of_wrong_shape(self, prior):
+        model = one_d_model()
+        with pytest.raises(ValidationError, match="prior"):
+            replace(model, prior_pos=prior)
 
     def test_matches_oracle_tables(self):
         rng = np.random.Generator(np.random.PCG64(11))
