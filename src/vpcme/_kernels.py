@@ -3,7 +3,7 @@ independent units of work side by side.
 
 The search is plain numpy over BLAS. Its output does not depend on the
 BLAS thread count: the matrix product only screens neighbor candidates, and
-every reported distance is recomputed exactly.
+the candidates are ranked by distances recomputed exactly.
 """
 
 import ctypes
@@ -69,43 +69,34 @@ def _squared_distances(queries, rows):
     return diff.sum(axis=-1)
 
 
-def _brute_force(train, queries, rows, k, exclude_self):
-    """Exact search for the query rows ``rows``; the reference tie rule."""
+def _brute_force(train, queries, k):
+    """Exact search of every query row; the reference tie rule."""
     n, d = train.shape
-    idx = np.empty((rows.size, k), np.int64)
-    dist = np.empty((rows.size, k))
+    idx = np.empty((queries.shape[0], k), np.int64)
     step = max(1, KNN_BLOCK // max(1, n * d))
-    for start in range(0, rows.size, step):
-        sel = rows[start : start + step]
-        d2 = _squared_distances(queries[sel], train)
-        if exclude_self:
-            d2[np.arange(sel.size), sel] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        idx[start : start + sel.size] = order
-        dist[start : start + sel.size] = np.take_along_axis(d2, order, axis=1)
-    return idx, dist
+    for start in range(0, queries.shape[0], step):
+        d2 = _squared_distances(queries[start : start + step], train)
+        idx[start : start + step] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return idx
 
 
-def knn(train, queries, k, exclude_self=False):
-    """Indices and squared distances of each query row's k nearest rows.
+def knn(train, queries, k):
+    """Indices of each query row's k nearest training rows.
 
-    Rows come back ordered by (distance, training index). With
-    ``exclude_self`` the queries are the training rows themselves and row i
-    never lists i. Returns two (m, k) arrays: int64 indices, float64
-    distances.
+    Rows come back ordered by (distance, training index), so a training row
+    queried against its own set lists itself after any lower-index exact
+    duplicate. Returns an (m, k) int64 array.
     """
     train = np.ascontiguousarray(train, dtype=np.float64)
-    queries = train if exclude_self else np.ascontiguousarray(queries, dtype=np.float64)
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
     k = int(k)
     m = queries.shape[0]
     n, d = train.shape
-    available = n - 1 if exclude_self else n
-    c = min(k + KNN_EXTRA, available)
-    if c == available:  # nothing to screen out
-        return _brute_force(train, queries, np.arange(m), k, exclude_self)
+    c = min(k + KNN_EXTRA, n)
+    if c == n:  # nothing to screen out
+        return _brute_force(train, queries, k)
 
     idx = np.empty((m, k), np.int64)
-    dist = np.empty((m, k))
     t_sq = np.einsum("ij,ij->i", train, train)
     screen = np.empty((n, d + 1))
     np.multiply(train, -2.0, out=screen[:, :d])
@@ -121,24 +112,19 @@ def knn(train, queries, k, exclude_self=False):
         local = np.arange(b)
         q_sq = np.einsum("ij,ij->i", q, q)
         approx = q_aug[start : start + b] @ screen.T  # |t|^2 - 2 q.t
-        if exclude_self:
-            approx[local, start + local] = np.inf
         part = np.argpartition(approx, c, axis=1)
         nearest_outside = approx[local, part[:, c]] + q_sq
         cand = part[:, :c]
         exact = _squared_distances(q, train[cand])
         order = np.lexsort((cand, exact), axis=-1)[:, :k]
         block_idx = np.take_along_axis(cand, order, axis=1)
-        block_dist = np.take_along_axis(exact, order, axis=1)
+        kth_dist = exact[local, order[:, -1]]
         tol = tol_scale * (q_sq + t_sq_max)
-        unsure = np.flatnonzero(~(nearest_outside - tol > block_dist[:, -1]))
+        unsure = np.flatnonzero(~(nearest_outside - tol > kth_dist))
         if unsure.size:
-            block_idx[unsure], block_dist[unsure] = _brute_force(
-                train, queries, start + unsure, k, exclude_self
-            )
+            block_idx[unsure] = _brute_force(train, q[unsure], k)
         idx[start : start + b] = block_idx
-        dist[start : start + b] = block_dist
-    return idx, dist
+    return idx
 
 
 # ---------------------------------------------------------------------------

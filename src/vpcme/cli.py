@@ -31,7 +31,7 @@ REPORT_SCHEMA = "vpcme-report/1"
 REPORT_BACKEND = "numpy"
 
 
-def _add_common(parser, method=True):
+def _add_common(parser, method=True, protocol=True):
     parser.add_argument("--data", required=True, help="dataset CSV path")
     parser.add_argument("--labels", required=True, type=int,
                         help="number of trailing label columns")
@@ -41,8 +41,9 @@ def _add_common(parser, method=True):
     parser.add_argument("--ensemble-size", type=int, default=30, dest="ensemble_size")
     parser.add_argument("--k", type=int, default=10, help="MLKNN neighbor count")
     parser.add_argument("--smoothing", type=float, default=1.0, help="MLKNN Laplace smoothing")
-    parser.add_argument("--folds", type=int, default=5)
-    parser.add_argument("--repeats", type=int, default=20)
+    if protocol:  # cross-validation only
+        parser.add_argument("--folds", type=int, default=5)
+        parser.add_argument("--repeats", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--zscore", action="store_true",
                         help="standardize features per training fold")
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("train", help="train on the full dataset and persist the model")
-    _add_common(p)
+    _add_common(p, protocol=False)
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("predict", help="emit per-instance scores and bipartitions as CSV")
@@ -98,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _experiment_config(args, method=None) -> ExperimentConfig:
+    protocol = {"folds": args.folds, "repeats": args.repeats} if "folds" in args else {}
     return ExperimentConfig(
         data=args.data,
         label_count=args.labels,
@@ -106,10 +108,9 @@ def _experiment_config(args, method=None) -> ExperimentConfig:
         ensemble_size=args.ensemble_size,
         k_neighbors=args.k,
         smoothing=args.smoothing,
-        folds=args.folds,
-        repeats=args.repeats,
         seed=args.seed,
         zscore=args.zscore,
+        **protocol,
     )
 
 

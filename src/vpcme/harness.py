@@ -255,6 +255,10 @@ def compare_methods(cfgs, dataset: MultiLabelDataset = None) -> dict:
     cfgs = list(cfgs)
     if len(cfgs) < 2:
         raise ConfigError("compare_methods needs at least two configurations")
+    order = [cfg.method for cfg in cfgs]
+    for i, key in enumerate(order):
+        if key in order[:i]:
+            raise ConfigError(f"duplicate method {key!r} in comparison")
     head = cfgs[0]
     for other in cfgs[1:]:
         shared = ("data", "label_count", "folds", "repeats", "seed", "zscore")
@@ -265,14 +269,7 @@ def compare_methods(cfgs, dataset: MultiLabelDataset = None) -> dict:
                     f"({getattr(head, name)!r} vs {getattr(other, name)!r})"
                 )
     ds = _load(head, dataset)
-    reports = {}
-    order = []
-    for cfg in cfgs:
-        key = cfg.method
-        if key in reports:
-            raise ConfigError(f"duplicate method {key!r} in comparison")
-        reports[key] = cross_validate(cfg, ds)
-        order.append(key)
+    reports = {cfg.method: cross_validate(cfg, ds) for cfg in cfgs}
 
     reference = order[0]
     tests = {}

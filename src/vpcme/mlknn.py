@@ -30,8 +30,9 @@ class MlknnModel:
     freq_neg: np.ndarray
     # Each training row's k nearest training rows, itself included: the
     # neighbors posterior_scores would search for the training rows. Set by
-    # fit_mlknn so that scoring the training set needs no second search;
-    # None for a model rebuilt from its saved arrays.
+    # fit_mlknn from the same search it counts with, so that scoring the
+    # training set needs no second search; None for a model rebuilt from
+    # its saved arrays.
     train_neighbors: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -81,7 +82,8 @@ def fit_mlknn(points, labels, k_neighbors: int = DEFAULT_K,
     """Count neighbor statistics and smoothed priors over the training set.
 
     Neighbors use Euclidean distance with the instance itself excluded;
-    distance ties go to the lower training index.
+    distance ties go to the lower training index. The model keeps each
+    row's neighbors with itself included as ``train_neighbors``.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     labels = np.ascontiguousarray(labels, dtype=bool)
@@ -100,15 +102,19 @@ def fit_mlknn(points, labels, k_neighbors: int = DEFAULT_K,
     if not (math.isfinite(s) and s > 0.0):
         raise ConfigError(f"smoothing must be finite and positive, got {s}")
 
-    neighbors, distances = _kernels.knn(points, points, k, exclude_self=True)
+    # One search of the training rows as plain queries: its first k columns
+    # are each row's list with itself included (the row lies at distance 0,
+    # after any lower-index exact twin); dropping row i where it appears and
+    # keeping k gives the self-excluded list the counts are taken from.
+    found = _kernels.knn(points, points, k + 1)
+    rows = np.arange(n)[:, None]
+    skip = np.cumsum(found[:, :k] == rows, axis=1)
+    neighbors = np.take_along_axis(found, np.arange(k) + skip, axis=1)
     counts = labels[neighbors].sum(axis=1)  # (n, r) positives among each row's neighbors
     prior_pos = (s + labels.sum(axis=0)) / (2.0 * s + n)
-    freq_pos = np.zeros((r, k + 1), dtype=np.int64)
-    freq_neg = np.zeros((r, k + 1), dtype=np.int64)
-    for l in range(r):
-        has = labels[:, l]
-        freq_pos[l] = np.bincount(counts[has, l], minlength=k + 1)
-        freq_neg[l] = np.bincount(counts[~has, l], minlength=k + 1)
+    cells = np.arange(r) * (k + 1) + counts  # (label, count) cell of each row and label
+    freq_pos = np.bincount(cells[labels], minlength=r * (k + 1)).reshape(r, k + 1)
+    freq_neg = np.bincount(cells[~labels], minlength=r * (k + 1)).reshape(r, k + 1)
     return MlknnModel(
         k_neighbors=k,
         smoothing=s,
@@ -117,23 +123,8 @@ def fit_mlknn(points, labels, k_neighbors: int = DEFAULT_K,
         prior_pos=prior_pos,
         freq_pos=freq_pos,
         freq_neg=freq_neg,
-        train_neighbors=_with_self(neighbors, distances),
+        train_neighbors=found[:, :k],
     )
-
-
-def _with_self(neighbors, distances):
-    """Self-included neighbor table derived from the self-excluded one.
-
-    Row i enters its own list at distance 0, after any lower-index exact
-    duplicate, and the k-th excluded neighbor drops out: the list a search
-    of the training rows as plain queries would return.
-    """
-    n, k = neighbors.shape
-    rows = np.arange(n)[:, None]
-    place = np.count_nonzero((distances == 0.0) & (neighbors < rows), axis=1)[:, None]
-    slot = np.arange(k)[None, :]
-    shifted = np.concatenate([neighbors[:, :1], neighbors[:, :-1]], axis=1)
-    return np.where(slot < place, neighbors, np.where(slot == place, rows, shifted))
 
 
 def _as_queries(model: MlknnModel, query):
@@ -152,7 +143,7 @@ def posterior_scores(model: MlknnModel, query) -> np.ndarray:
     if model.train_neighbors is not None and np.array_equal(q, model.train_points):
         neighbors = model.train_neighbors  # the training rows: reuse the fit's search
     else:
-        neighbors, _ = _kernels.knn(model.train_points, q, model.k_neighbors)
+        neighbors = _kernels.knn(model.train_points, q, model.k_neighbors)
     c = model.train_labels[neighbors].sum(axis=1)  # (m, r)
     s = model.smoothing
     k = model.k_neighbors

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -8,7 +10,17 @@ import pytest
 
 from vpcme.cli import main
 from vpcme.dataset import format_rows, load_csv, load_features, save_csv, synthetic_dataset
-from vpcme.ensemble import load_model, predict_ensemble
+from vpcme.ensemble import load_model, predict_ensemble, save_model
+from vpcme.harness import ExperimentConfig, train_method
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env():
+    """Environment for a ``python -m vpcme.cli`` child that imports this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
 
 METRIC_SCHEMA = {
     "type": "object",
@@ -314,6 +326,26 @@ class TestTrainPredict:
             body = handle.read().split("\n", 1)[1]
         assert body == format_rows(scores, bip)
 
+    def test_train_takes_no_cross_validation_flags(self, data_csv, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        usage = capsys.readouterr().out
+        assert "--folds" not in usage and "--repeats" not in usage
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--data", data_csv, "--labels", "3", "--folds", "5",
+                  "--out", str(tmp_path / "unused.npz")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --folds 5" in capsys.readouterr().err
+        model_path = tmp_path / "model.npz"
+        assert run_cli(
+            "train", "--data", data_csv, "--labels", "3", "--ensemble-size", "2", "--k", "5",
+            "--seed", "9", "--out", str(model_path),
+        ) == 0
+        cfg = ExperimentConfig(ensemble_size=2, k_neighbors=5, seed=9)
+        direct = tmp_path / "direct.npz"
+        save_model(train_method(cfg, load_csv(data_csv, 3), cfg.seed), direct)
+        assert model_path.read_bytes() == direct.read_bytes()
+
     @pytest.mark.parametrize("smoothing", ["nan", "inf", "0"])
     def test_train_rejects_a_smoothing_that_is_not_finite_and_positive(
         self, data_csv, tmp_path, capsys, smoothing
@@ -332,7 +364,7 @@ class TestEntryPoint:
     def test_module_invocation(self, data_csv):
         proc = subprocess.run(
             [sys.executable, "-m", "vpcme.cli", "stats", "--data", data_csv, "--labels", "3"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
@@ -347,7 +379,7 @@ class TestEntryPoint:
         outs = []
         for name in ("a.json", "b.json"):
             out = str(tmp_path / name)
-            proc = subprocess.run(argv + ["--out", out], capture_output=True)
+            proc = subprocess.run(argv + ["--out", out], capture_output=True, env=child_env())
             assert proc.returncode == 0
             with open(out, "rb") as handle:
                 outs.append(handle.read())

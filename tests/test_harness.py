@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from vpcme import harness
 from vpcme._ttable import CRITICAL_001, NORMAL_QUANTILE_0995, critical_value
 from vpcme.dataset import MultiLabelDataset, synthetic_dataset
 from vpcme.errors import ConfigError, ValidationError
@@ -219,10 +220,15 @@ class TestCompareMethods:
             result = paired_t_test(values, values)
             assert not result.significant
 
-    def test_duplicate_methods_rejected(self):
+    def test_duplicate_methods_rejected(self, monkeypatch):
+        # before any cross-validation runs, also after a distinct method
+        calls = []
+        monkeypatch.setattr(harness, "cross_validate", lambda *args: calls.append(args))
         ds = synthetic_dataset(50, 3, 3, seed=13)
-        with pytest.raises(ConfigError):
-            compare_methods([self.make_cfg("vpcme"), self.make_cfg("vpcme")], dataset=ds)
+        for methods in (("vpcme", "vpcme"), ("vpcme", "bagging_vpcp", "vpcme")):
+            with pytest.raises(ConfigError, match="duplicate method 'vpcme'"):
+                compare_methods([self.make_cfg(m) for m in methods], dataset=ds)
+        assert calls == []
 
     def test_mismatched_seeds_rejected(self):
         with pytest.raises(ConfigError):

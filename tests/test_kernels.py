@@ -55,20 +55,35 @@ POINTS = dict(point_sets())
 
 def block_sizes(points):
     """The default KNN_BLOCK, then blocks of 7 rows (a ragged last block) and
-    of one row, where the self-excluded diagonal and |q|^2 go per block."""
+    of one row, where |q|^2 goes per block."""
     return _kernels.KNN_BLOCK, 7 * len(points), len(points)
 
 
+def oracle_tables(neighbors, labels, k):
+    """MLKNN's (labels, k+1) count tables over the given neighbor lists."""
+    counts = labels[neighbors].sum(axis=1)
+    columns = range(labels.shape[1])
+    freq_pos = [np.bincount(counts[labels[:, l], l], minlength=k + 1) for l in columns]
+    freq_neg = [np.bincount(counts[~labels[:, l], l], minlength=k + 1) for l in columns]
+    return np.array(freq_pos), np.array(freq_neg)
+
+
 @pytest.mark.parametrize("name", list(POINTS))
-@pytest.mark.parametrize("k", [1, 4, 10, 25])
+@pytest.mark.parametrize("k", [1, 4, 10, 25, pytest.param(None, id="n-1")])
 def test_knn_self_search_matches_oracle(name, k, monkeypatch):
+    # fit_mlknn counts from the self-excluded lists and keeps the
+    # self-included ones, both read off one plain search of its rows
     points = POINTS[name]
-    want_idx, want_dist = oracle_knn(points, points, k, True)
+    k = len(points) - 1 if k is None else k
+    labels = np.random.Generator(np.random.PCG64(k)).random((len(points), 5)) < 0.4
+    want_pos, want_neg = oracle_tables(oracle_knn(points, points, k, True)[0], labels, k)
+    want_with_self = oracle_knn(points, points, k, False)[0]
     for block in block_sizes(points):
         monkeypatch.setattr(_kernels, "KNN_BLOCK", block)
-        idx, dist = _kernels.knn(points, points, k, exclude_self=True)
-        assert np.array_equal(idx, want_idx)
-        assert np.array_equal(dist, want_dist)
+        model = fit_mlknn(points, labels, k, 1.0)
+        assert np.array_equal(model.freq_pos, want_pos)
+        assert np.array_equal(model.freq_neg, want_neg)
+        assert np.array_equal(model.train_neighbors, want_with_self)
 
 
 @pytest.mark.parametrize("name", list(POINTS))
@@ -79,30 +94,33 @@ def test_knn_query_search_matches_oracle(name, k, monkeypatch):
     # half the queries are training rows, so exact ties with self occur too
     queries = np.concatenate([points[rng.integers(0, len(points), 40)],
                               points[:40] + rng.normal(size=(40, points.shape[1])) * 1e-3])
-    want_idx, want_dist = oracle_knn(points, queries, k, False)
+    want_idx = oracle_knn(points, queries, k, False)[0]
     for block in block_sizes(points):
         monkeypatch.setattr(_kernels, "KNN_BLOCK", block)
-        idx, dist = _kernels.knn(points, queries, k)
+        idx = _kernels.knn(points, queries, k)
+        assert idx.dtype == np.int64
         assert np.array_equal(idx, want_idx)
-        assert np.array_equal(dist, want_dist)
 
 
-@pytest.mark.parametrize("exclude_self", [True, False])
-def test_knn_screen_needs_no_fallback_on_normal_data(exclude_self, monkeypatch):
+@pytest.mark.parametrize("self_search", [True, False])
+def test_knn_screen_needs_no_fallback_on_normal_data(self_search, monkeypatch):
     # a loose tolerance or a misplaced |q|^2 would quietly send rows to the
-    # brute-force search; on well-separated data none should go there
+    # brute-force search; on well-separated data none should go there. The
+    # self-search is fit_mlknn's: the training rows as queries, k + 1 = 11
     rng = np.random.Generator(np.random.PCG64(11))
     train = rng.normal(size=(2000, 31))
-    queries = train if exclude_self else rng.normal(size=(500, 31))
     calls = []
     brute_force = _kernels._brute_force
 
     def spy(*args):
-        calls.append(args[2].size)
+        calls.append(len(args[1]))
         return brute_force(*args)
 
     monkeypatch.setattr(_kernels, "_brute_force", spy)
-    _kernels.knn(train, queries, 10, exclude_self=exclude_self)
+    if self_search:
+        _kernels.knn(train, train, 11)
+    else:
+        _kernels.knn(train, rng.normal(size=(500, 31)), 10)
     assert calls == []
 
 
@@ -119,22 +137,30 @@ def test_squared_distances_equal_the_plain_expression(shape):
 def test_knn_small_sets_and_blocking(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(5))
     points = rng.integers(0, 4, size=(9, 2)).astype(float)
-    for k in range(1, 9):  # every candidate count up to the whole set
-        idx, _ = _kernels.knn(points, points, k, exclude_self=True)
-        assert np.array_equal(idx, oracle_knn(points, points, k, True)[0])
+    for k in range(1, 10):  # every candidate count up to the whole set
+        assert np.array_equal(_kernels.knn(points, points, k), oracle_knn(points, points, k, False)[0])
     # tiny blocks: the result must not depend on how rows are grouped
     points = rng.normal(size=(70, 4))
-    whole = _kernels.knn(points, points, 6, exclude_self=True)
+    whole = _kernels.knn(points, points, 7)
     monkeypatch.setattr(_kernels, "KNN_BLOCK", 50)
-    blocked = _kernels.knn(points, points, 6, exclude_self=True)
-    assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+    assert np.array_equal(_kernels.knn(points, points, 7), whole)
 
 
 def test_knn_duplicates_break_ties_by_index():
     train = np.array([[0.0, 0.0]] * 4 + [[5.0, 5.0]] * 3)
-    assert _kernels.knn(train, train, 3, exclude_self=True)[0][0].tolist() == [1, 2, 3]
-    assert _kernels.knn(train, train, 3, exclude_self=True)[0][2].tolist() == [0, 1, 3]
-    assert _kernels.knn(train, train[5:6], 3)[0].tolist() == [[4, 5, 6]]
+    assert _kernels.knn(train, train[5:6], 3).tolist() == [[4, 5, 6]]
+    # fit_mlknn's (k+1)-search with k = 3: row 3 has k lower-index twins,
+    # which push it out of its own list
+    assert _kernels.knn(train, train, 4).tolist() == [[0, 1, 2, 3]] * 4 + [[4, 5, 6, 0]] * 3
+    with_self = [[0, 1, 2]] * 4 + [[4, 5, 6]] * 3
+    without_self = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2], [5, 6, 0], [4, 6, 0], [4, 5, 0]]
+    # one label per row: a row's count on label j says whether j is in its list
+    labels = np.eye(7, dtype=bool)
+    model = fit_mlknn(train, labels, 3, 1.0)
+    assert model.train_neighbors.tolist() == with_self
+    want_pos, want_neg = oracle_tables(np.array(without_self), labels, 3)
+    assert np.array_equal(model.freq_pos, want_pos)
+    assert np.array_equal(model.freq_neg, want_neg)
 
 
 @pytest.mark.parametrize("k", [2, 3, 6, 12, 40])
