@@ -27,7 +27,6 @@ from .ensemble import (
     VpcmeModel,
     load_model,
     predict_ensemble,
-    sample_is_misclassified,
     save_model,
     train_single_mlknn,
     train_vpcme,

@@ -138,7 +138,7 @@ def _emit(doc: dict, out_path) -> None:
     _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
 
 
-def _print_metric_table(rows, stream=sys.stderr):
+def _print_metric_table(rows):
     """Aligned metric table on stderr: one row per (label, report)."""
     if not rows:
         return
@@ -147,13 +147,13 @@ def _print_metric_table(rows, stream=sys.stderr):
     widths = [max(len(header[0]), max(len(str(r[0])) for r in rows))]
     widths += [max(len(n), 15) for n in names]
     line = "  ".join(h.ljust(w) for h, w in zip(header, widths))
-    print(line, file=stream)
+    print(line, file=sys.stderr)
     for label, report in rows:
         cells = [str(label).ljust(widths[0])]
         for i, name in enumerate(names):
             s = report.metrics[name]
             cells.append(f"{s.mean:.4f} ±{s.std:.4f}".ljust(widths[i + 1]))
-        print("  ".join(cells), file=stream)
+        print("  ".join(cells), file=sys.stderr)
 
 
 def _parse_values(raw, parameter):

@@ -7,7 +7,7 @@ everything before them is a numeric feature.
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ class MultiLabelDataset:
 
     features: np.ndarray
     labels: np.ndarray
-    label_names: list[str] = field(default=None)
 
     def __post_init__(self):
         features = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -40,17 +39,10 @@ class MultiLabelDataset:
             raise ValidationError("dataset needs at least two label columns")
         if not np.all(np.isfinite(features)):
             raise ValidationError("feature matrix contains non-finite values")
-        names = self.label_names
-        if names is None:
-            names = [f"label_{i}" for i in range(labels.shape[1])]
-        names = [str(x) for x in names]
-        if len(names) != labels.shape[1]:
-            raise ValidationError("label_names length must equal the label count")
         features.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "label_names", names)
 
     @property
     def instance_count(self) -> int:
@@ -67,7 +59,7 @@ class MultiLabelDataset:
     def subset(self, indices) -> "MultiLabelDataset":
         """New dataset restricted to the given instance indices, in order."""
         idx = np.asarray(indices, dtype=np.int64)
-        return MultiLabelDataset(self.features[idx], self.labels[idx], self.label_names)
+        return MultiLabelDataset(self.features[idx], self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -82,11 +74,9 @@ class DatasetStats:
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    """Round-robin deal of shuffled instances into ``folds`` test folds."""
+    """Round-robin deal of shuffled instances into test folds."""
 
     fold_of_instance: np.ndarray
-    folds: int
-    seed: int
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_of_instance == fold)
@@ -112,7 +102,7 @@ def load_features(path, label_count: int = 0):
         lines.pop()
     if not lines:
         raise CsvFormatError(f"{path}: file contains no data rows")
-    width = lines[0].count(",") + 1
+    width = next(line for line in lines if line.strip()).count(",") + 1
     if label_count >= width:
         raise CsvFormatError(
             f"{path}: label_count={label_count} leaves no feature columns "
@@ -207,7 +197,7 @@ def kfold_split(n: int, folds: int, seed: int) -> FoldAssignment:
     fold_of_instance = np.empty(n, dtype=np.int64)
     fold_of_instance[perm] = np.arange(n) % folds
     fold_of_instance.setflags(write=False)
-    return FoldAssignment(fold_of_instance=fold_of_instance, folds=folds, seed=int(seed))
+    return FoldAssignment(fold_of_instance=fold_of_instance)
 
 
 def synthetic_dataset(

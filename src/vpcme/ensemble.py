@@ -18,7 +18,7 @@ from ._kernels import one_blas_thread, parallel_map
 from .constraints import ConstraintConfig, sample_constraints
 from .dataset import MultiLabelDataset
 from .errors import ConfigError, ValidationError
-from .mlknn import MlknnModel, fit_mlknn, posterior_scores
+from .mlknn import MlknnModel, fit_mlknn, posterior_scores, predict_bipartition
 from .projection import ProjectionModel, fit_projection, transform
 
 MODEL_FORMAT = "vpcme-model/1"
@@ -95,15 +95,6 @@ class VpcmeModel:
         return self.members[0][1].label_count
 
 
-def sample_is_misclassified(predicted, truth) -> bool:
-    """True unless the predicted label set equals the true one exactly."""
-    p = np.asarray(predicted, dtype=bool)
-    t = np.asarray(truth, dtype=bool)
-    if p.shape != t.shape:
-        raise ValidationError("predicted and true label vectors must have the same shape")
-    return bool(np.any(p != t))
-
-
 def _member_rng(seed: int, member: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, member])))
 
@@ -125,8 +116,7 @@ def _fit_member(ds, weights, cfg, member_index):
 def _fit_classifier(points, labels, cfg):
     """MLKNN on ``points`` plus the training rows it gets wrong (exact label set)."""
     classifier = fit_mlknn(points, labels, cfg.k_neighbors, cfg.smoothing)
-    train_preds = posterior_scores(classifier, points) > 0.5
-    return classifier, (train_preds != labels).any(axis=1)
+    return classifier, (predict_bipartition(classifier, points) != labels).any(axis=1)
 
 
 def train_vpcme(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
@@ -159,12 +149,7 @@ def train_vpcme(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
 def train_single_mlknn(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
     """Plain MLKNN on the raw features, wrapped as a one-member ensemble."""
     k = ds.feature_count
-    identity = ProjectionModel(
-        w=np.eye(k),
-        eigenvalues=np.zeros(k),
-        reduced_dim=k,
-        scaling_r=1.0,
-    )
+    identity = ProjectionModel(w=np.eye(k), eigenvalues=np.zeros(k), scaling_r=1.0)
     with one_blas_thread():
         classifier, mis = _fit_classifier(ds.features, ds.labels, cfg)
     error_rate = float(np.mean(mis))
@@ -277,11 +262,9 @@ def load_model(path):
             count = int(read("member_count"))
             members = []
             for i in range(count):
-                w = read(f"m{i}_w")
                 proj = ProjectionModel(
-                    w=w,
+                    w=read(f"m{i}_w"),
                     eigenvalues=read(f"m{i}_eigenvalues"),
-                    reduced_dim=w.shape[1],
                     scaling_r=float(read(f"m{i}_scaling_r")),
                 )
                 classifier = MlknnModel(

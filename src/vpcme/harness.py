@@ -174,9 +174,7 @@ def train_method(cfg: ExperimentConfig, train_ds: MultiLabelDataset, seed: int):
         mean = train_ds.features.mean(axis=0)
         scale = train_ds.features.std(axis=0)
         scale = np.where(scale == 0.0, 1.0, scale)
-        train_ds = MultiLabelDataset(
-            (train_ds.features - mean) / scale, train_ds.labels, train_ds.label_names
-        )
+        train_ds = MultiLabelDataset((train_ds.features - mean) / scale, train_ds.labels)
         scaler = (mean, scale)
     trainer = train_single_mlknn if cfg.method == "mlknn_single" else train_vpcme
     vpcme_cfg = VpcmeConfig(

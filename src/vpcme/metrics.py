@@ -88,6 +88,23 @@ def _rank_order_masks(y, ranks):
     return y[rows, order]
 
 
+# Each skip rule lives in one row mask, read by its metric and by evaluate_all.
+def _ranking_kept(y):
+    """Rows whose label set is neither empty nor full."""
+    sizes = y.sum(axis=1)
+    return (sizes > 0) & (sizes < y.shape[1])
+
+
+def _nonempty(y):
+    """Rows with at least one true label."""
+    return y.any(axis=1)
+
+
+def _recall_kept(y, z):
+    """Rows with a true label, or with no true and no predicted label."""
+    return _nonempty(y) | ~z.any(axis=1)
+
+
 def ranking_loss(truths, ranks) -> float:
     """Fraction of (relevant, irrelevant) pairs ranked in the wrong order.
 
@@ -97,7 +114,7 @@ def ranking_loss(truths, ranks) -> float:
     r = _as_rank_matrix(ranks)
     m = y.shape[1]
     sizes = y.sum(axis=1)
-    keep = (sizes > 0) & (sizes < m)
+    keep = _ranking_kept(y)
     if not np.any(keep):
         raise UndefinedMetricError("ranking loss undefined: every label set is empty or full")
     rel_in_order = _rank_order_masks(y[keep], r[keep])
@@ -111,7 +128,7 @@ def one_error(truths, ranks) -> float:
     """Fraction of instances whose top-ranked label is not relevant."""
     y = _as_bool_matrix(truths, "truths")
     r = _as_rank_matrix(ranks)
-    keep = y.sum(axis=1) > 0
+    keep = _nonempty(y)
     if not np.any(keep):
         raise UndefinedMetricError("one-error undefined: every label set is empty")
     top_hit = (y[keep] & (r[keep] == 1)).any(axis=1)
@@ -130,7 +147,7 @@ def average_precision(truths, ranks) -> float:
     """Mean precision at each relevant label's rank; empty sets skipped."""
     y = _as_bool_matrix(truths, "truths")
     r = _as_rank_matrix(ranks)
-    keep = y.sum(axis=1) > 0
+    keep = _nonempty(y)
     if not np.any(keep):
         raise UndefinedMetricError("average precision undefined: every label set is empty")
     rel_in_order = _rank_order_masks(y[keep], r[keep])
@@ -162,41 +179,18 @@ def recall(truths, bipartitions) -> float:
     z = _as_bool_matrix(bipartitions, "bipartitions")
     if y.shape != z.shape:
         raise ValidationError("truths and bipartitions must have the same shape")
-    y_sizes = y.sum(axis=1)
-    z_sizes = z.sum(axis=1)
-    keep = (y_sizes > 0) | (z_sizes == 0)
+    keep = _recall_kept(y, z)
     if not np.any(keep):
         raise UndefinedMetricError("recall undefined: every instance was skipped")
     inter = (y[keep] & z[keep]).sum(axis=1)
-    yk = y_sizes[keep]
+    yk = y[keep].sum(axis=1)
     vals = np.where(yk == 0, 1.0, inter / np.where(yk == 0, 1, yk))
     return float(np.mean(vals))
-
-
-def skip_counts(truths, bipartitions) -> dict[str, int]:
-    """How many instances each metric's degenerate-set rule drops."""
-    y = _as_bool_matrix(truths, "truths")
-    z = _as_bool_matrix(bipartitions, "bipartitions")
-    m = y.shape[1]
-    sizes = y.sum(axis=1)
-    empty = int(np.count_nonzero(sizes == 0))
-    empty_or_full = int(np.count_nonzero((sizes == 0) | (sizes == m)))
-    recall_skips = int(np.count_nonzero((sizes == 0) & z.any(axis=1)))
-    return {
-        "hamming_loss": 0,
-        "ranking_loss": empty_or_full,
-        "one_error": empty,
-        "coverage": 0,
-        "average_precision": empty,
-        "f1": 0,
-        "recall": recall_skips,
-    }
 
 
 def evaluate_all(truths, bipartitions, scores) -> dict[str, MetricValue]:
     """All seven metrics with skip counts; ranks derive from the scores."""
     ranks = rank_from_scores(scores)
-    skips = skip_counts(truths, bipartitions)
     values = {
         "hamming_loss": hamming_loss(truths, bipartitions),
         "ranking_loss": ranking_loss(truths, ranks),
@@ -206,4 +200,14 @@ def evaluate_all(truths, bipartitions, scores) -> dict[str, MetricValue]:
         "f1": f1_metric(truths, bipartitions),
         "recall": recall(truths, bipartitions),
     }
-    return {name: MetricValue(values[name], skips[name]) for name in METRIC_NAMES}
+    y = _as_bool_matrix(truths, "truths")
+    kept = {
+        "ranking_loss": _ranking_kept(y),
+        "one_error": _nonempty(y),
+        "average_precision": _nonempty(y),
+        "recall": _recall_kept(y, _as_bool_matrix(bipartitions, "bipartitions")),
+    }
+    return {
+        name: MetricValue(values[name], int(np.count_nonzero(~kept[name])) if name in kept else 0)
+        for name in METRIC_NAMES
+    }

@@ -22,8 +22,6 @@ from .errors import ValidationError
 class ScatterPair:
     s_cannot: np.ndarray
     s_must: np.ndarray
-    n_cannot: int
-    n_must: int
     scaling_r: float
 
 
@@ -33,15 +31,14 @@ class ProjectionModel:
 
     w: np.ndarray
     eigenvalues: np.ndarray
-    reduced_dim: int
     scaling_r: float
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.w, dtype=np.float64)
         eigenvalues = np.ascontiguousarray(self.eigenvalues, dtype=np.float64)
         k, d = w.shape
-        if d != self.reduced_dim or eigenvalues.shape != (d,):
-            raise ValidationError("projection column count must match reduced_dim")
+        if eigenvalues.shape != (d,):
+            raise ValidationError("projection needs one eigenvalue per column")
         if not 1 <= d <= k:
             raise ValidationError(f"reduced dimension {d} outside [1, {k}]")
         gram = w.T @ w
@@ -53,6 +50,10 @@ class ProjectionModel:
         eigenvalues.setflags(write=False)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "eigenvalues", eigenvalues)
+
+    @property
+    def reduced_dim(self) -> int:
+        return self.w.shape[1]
 
     @property
     def objective(self) -> float:
@@ -91,8 +92,6 @@ def scatter_matrices(ds: MultiLabelDataset, sets: PairConstraintSets) -> Scatter
     return ScatterPair(
         s_cannot=s_cannot,
         s_must=s_must,
-        n_cannot=sets.n_cannot,
-        n_must=sets.n_must,
         scaling_r=mean_c / mean_m if sets.n_cannot and mean_m != 0.0 else 1.0,
     )
 
@@ -132,12 +131,7 @@ def fit_projection(ds: MultiLabelDataset, sets: PairConstraintSets) -> Projectio
     d = int(np.count_nonzero(values >= 0.0))
     if d == 0:
         d = 1
-    return ProjectionModel(
-        w=vectors[:, :d],
-        eigenvalues=values[:d],
-        reduced_dim=d,
-        scaling_r=pair.scaling_r,
-    )
+    return ProjectionModel(w=vectors[:, :d], eigenvalues=values[:d], scaling_r=pair.scaling_r)
 
 
 def transform(model: ProjectionModel, x) -> np.ndarray:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -165,6 +167,15 @@ class TestCv:
         assert run_cli(*self.cv_args(data_csv, out_b)) == 0
         with open(out_a, "rb") as fa, open(out_b, "rb") as fb:
             assert fa.read() == fb.read()
+
+    def test_metric_table_follows_a_redirected_stderr(self, data_csv, tmp_path):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(*self.cv_args(data_csv, str(tmp_path / "cv.json"))) == 0
+        header, row, finished = err.getvalue().splitlines()
+        assert header.split()[:3] == ["run", "hamming_loss", "ranking_loss"]
+        assert row.startswith("vpcme ")
+        assert finished.startswith("cv finished in ")
 
     def test_bad_method_exits_nonzero(self, data_csv, capsys):
         code = run_cli("cv", "--data", data_csv, "--labels", "3", "--method", "xgboost")

@@ -111,6 +111,13 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="line 2 has 3 fields"):
             load_features(path, label_count=2)
 
+    def test_blank_first_line_names_line_one(self, tmp_path):
+        path = write(tmp_path, "\n1.0,2.0,1,0\n3.0,4.0,0,1\n")
+        for loader in LOADERS:
+            with pytest.raises(CsvFormatError) as info:
+                loader(path, label_count=2)
+            assert str(info.value) == f"{path}: line 1 has 1 fields, expected 4"
+
     def test_blank_line_mid_file(self, tmp_path):
         path = write(tmp_path, "1.0,2.0,1,0\n\n3.0,4.0,0,1\n")
         for loader in LOADERS:

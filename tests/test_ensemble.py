@@ -11,7 +11,6 @@ from vpcme.ensemble import (
     VpcmeModel,
     load_model,
     predict_ensemble,
-    sample_is_misclassified,
     save_model,
     train_single_mlknn,
     train_vpcme,
@@ -40,17 +39,6 @@ def drop_last_label_of_m1(arrays):
     return cut
 
 
-class TestMisclassified:
-    def test_equal_sets(self):
-        assert not sample_is_misclassified([1, 1, 0], [1, 1, 0])
-
-    def test_subset_is_wrong(self):
-        assert sample_is_misclassified([1, 0, 0], [1, 1, 0])
-
-    def test_both_empty(self):
-        assert not sample_is_misclassified([0, 0], [0, 0])
-
-
 class TestTraining:
     def test_single_member_equals_manual_pipeline(self):
         ds = small_dataset()
@@ -72,16 +60,6 @@ class TestTraining:
         expect = posterior_scores(classifier, transform(proj, query))
         assert np.array_equal(scores, expect)
         assert np.array_equal(bip, expect > 0.5)
-
-    def test_hand_weight_update(self):
-        # uniform quarter weights, instance 0 misclassified, rate 0.25
-        weights = np.full(4, 0.25)
-        mis = np.array([True, False, False, False])
-        theta = 0.25
-        weights[mis] *= 1.0 + theta
-        weights /= weights.sum()
-        assert weights[0] == pytest.approx(0.2941, abs=1e-4)
-        assert np.allclose(weights[1:], 0.2353, atol=1e-4)
 
     def test_training_log_records_each_member(self):
         ds = small_dataset()
@@ -151,6 +129,36 @@ class TestBoostingWeights:
                 weights /= weights.sum()
             trajectory.append(weights.copy())
         return trajectory
+
+    def test_members_follow_the_replayed_update(self):
+        """Each trained member is the one built from weights replayed by the
+        paper's rule: rows whose predicted label set differs from the true one
+        are multiplied by (1 + error rate), then the weights renormalize."""
+        from vpcme.ensemble import _fit_member
+
+        base = small_dataset(seed=3)
+        labels = base.labels.copy()
+        labels[:2] = False  # empty label sets count as misses only if predicted non-empty
+        ds = MultiLabelDataset(base.features, labels)
+        cfg = quick_cfg(ensemble_size=4)
+        model = train_vpcme(ds, cfg)
+        n = ds.instance_count
+        weights = np.full(n, 1.0 / n)
+        rates = []
+        for l, (proj, classifier) in enumerate(model.members):
+            (want_proj, want_classifier), _, _ = _fit_member(ds, weights, cfg, l)
+            assert np.array_equal(proj.w, want_proj.w)
+            assert np.array_equal(classifier.freq_pos, want_classifier.freq_pos)
+            pred = posterior_scores(classifier, transform(proj, ds.features)) > 0.5
+            miss = np.any(pred != ds.labels, axis=1)
+            rate = miss.mean()
+            assert rate == model.training_log[l][0]
+            rates.append(rate)
+            if miss.any():
+                weights = weights.copy()
+                weights[miss] *= 1.0 + rate
+                weights /= weights.sum()
+        assert any(0.0 < rate < 1.0 for rate in rates[:-1])
 
     def test_weights_stay_normalized_and_nonnegative(self):
         ds = small_dataset(seed=3)
@@ -379,7 +387,6 @@ class TestModelValidation:
         wrong = ProjectionModel(
             w=np.eye(classifier.dim + 1),
             eigenvalues=np.zeros(classifier.dim + 1),
-            reduced_dim=classifier.dim + 1,
             scaling_r=1.0,
         )
         with pytest.raises(ValidationError):

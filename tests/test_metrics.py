@@ -256,6 +256,33 @@ class TestOracleEquivalence:
         assert results["coverage"].skipped == 0
         assert results["f1"].skipped == 0
 
+    def test_skipped_counts_follow_the_documented_rules(self):
+        # ranking loss skips empty and full label sets, one-error and average
+        # precision skip empty ones, recall skips an empty truth predicted
+        # non-empty; the other three metrics skip nothing
+        rng = np.random.Generator(np.random.PCG64(29))
+        for _ in range(200):
+            n, m = int(rng.integers(4, 30)), int(rng.integers(2, 7))
+            truths = rng.random((n, m)) < rng.random()
+            preds = rng.random((n, m)) < rng.random()
+            truths[:4] = [[False] * m, [True] * m, [False] * m, [True] + [False] * (m - 1)]
+            preds[:4] = [[True] + [False] * (m - 1), [False] * m, [False] * m, [True] * m]
+            perm = rng.permutation(n)
+            truths, preds = truths[perm], preds[perm]
+            scores = rng.random((n, m))
+            rows = [(y.tolist(), z.tolist()) for y, z in zip(truths, preds)]
+            want = {
+                "hamming_loss": 0,
+                "ranking_loss": sum(not any(y) or all(y) for y, _ in rows),
+                "one_error": sum(not any(y) for y, _ in rows),
+                "coverage": 0,
+                "average_precision": sum(not any(y) for y, _ in rows),
+                "f1": 0,
+                "recall": sum(not any(y) and any(z) for y, z in rows),
+            }
+            got = {name: mv.skipped for name, mv in evaluate_all(truths, preds, scores).items()}
+            assert got == want
+
 
 class TestProperties:
     @settings(max_examples=60, deadline=None)

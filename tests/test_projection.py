@@ -39,8 +39,6 @@ class TestScatterMatrices:
         pair = scatter_matrices(ds, PairConstraintSets(must=pairs(), cannot=pairs((0, 1))))
         assert np.allclose(pair.s_cannot, [[2.0, 0.0], [0.0, 0.0]])
         assert np.array_equal(pair.s_must, np.zeros((2, 2)))
-        assert pair.n_cannot == 1
-        assert pair.n_must == 0
 
     def test_duplicate_pair_counts_in_denominator(self):
         ds = toy_dataset()
@@ -48,7 +46,6 @@ class TestScatterMatrices:
             ds, PairConstraintSets(must=pairs(), cannot=pairs((0, 1), (0, 1)))
         )
         assert np.allclose(pair.s_cannot, [[2.0, 0.0], [0.0, 0.0]])
-        assert pair.n_cannot == 2
 
     def test_symmetry_and_psd_on_random_input(self):
         rng = np.random.Generator(np.random.PCG64(5))
@@ -230,15 +227,13 @@ class TestFitProjection:
 class TestTransform:
     def model_ex(self):
         w = np.array([[1.0], [0.0]])
-        return ProjectionModel(w=w, eigenvalues=np.array([2.0]), reduced_dim=1, scaling_r=4.0)
+        return ProjectionModel(w=w, eigenvalues=np.array([2.0]), scaling_r=4.0)
 
     def test_vector(self):
         assert np.array_equal(transform(self.model_ex(), np.array([3.0, 7.0])), [3.0])
 
     def test_identity_projection(self):
-        model = ProjectionModel(
-            w=np.eye(2), eigenvalues=np.zeros(2), reduced_dim=2, scaling_r=1.0
-        )
+        model = ProjectionModel(w=np.eye(2), eigenvalues=np.zeros(2), scaling_r=1.0)
         x = np.array([1.5, -2.5])
         assert np.array_equal(transform(model, x), x)
 
@@ -261,7 +256,6 @@ class TestProjectionModelValidation:
             ProjectionModel(
                 w=np.array([[1.0], [1.0]]),
                 eigenvalues=np.array([1.0]),
-                reduced_dim=1,
                 scaling_r=1.0,
             )
 
@@ -270,6 +264,5 @@ class TestProjectionModelValidation:
             ProjectionModel(
                 w=np.eye(2),
                 eigenvalues=np.array([1.0, -1.0]),
-                reduced_dim=2,
                 scaling_r=1.0,
             )
