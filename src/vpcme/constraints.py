@@ -71,17 +71,20 @@ class PairConstraintSets:
         return self.cannot.shape[0]
 
 
-def label_overlap_ratio(labels_i, labels_j) -> float:
-    """Intersection size over mean set size; 1.0 when both sets are empty."""
+def label_overlap_ratio(labels_i, labels_j):
+    """Intersection size over mean set size; 1.0 when both sets are empty.
+
+    Two label vectors give a float; two (m, r) label matrices give the m
+    ratios of their paired rows.
+    """
     li = np.asarray(labels_i, dtype=bool)
     lj = np.asarray(labels_j, dtype=bool)
     if li.shape != lj.shape:
         raise ValidationError("label vectors must come from the same label universe")
-    inter = int(np.count_nonzero(li & lj))
-    denom = (int(np.count_nonzero(li)) + int(np.count_nonzero(lj))) / 2.0
-    if denom == 0.0:
-        return 1.0
-    return inter / denom
+    inter = np.count_nonzero(li & lj, axis=-1)
+    denom = (np.count_nonzero(li, axis=-1) + np.count_nonzero(lj, axis=-1)) / 2.0
+    ratio = np.where(denom == 0.0, 1.0, inter / np.where(denom == 0.0, 1.0, denom))
+    return float(ratio) if li.ndim == 1 else ratio
 
 
 def weighted_indices(weights, uniforms) -> np.ndarray:
@@ -125,7 +128,6 @@ def sample_constraints(
     if n < 2:
         raise ConfigError("constraint sampling needs at least 2 instances")
     w = _check_weights(weights, n)
-    sizes = ds.labels.sum(axis=1)
     must = [np.empty((0, 2), np.int64)]
     cannot = [np.empty((0, 2), np.int64)]
     need_must, need_cannot = cfg.target_must, cfg.target_cannot
@@ -135,11 +137,7 @@ def sample_constraints(
         stop = min(start + step, cfg.max_attempts)
         pairs = weighted_indices(w, rng.random(2 * (stop - start))).reshape(-1, 2)
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        i, j = pairs[:, 0], pairs[:, 1]
-        inter = np.count_nonzero(ds.labels[i] & ds.labels[j], axis=1)
-        denom = (sizes[i] + sizes[j]) / 2.0
-        ratio = np.where(denom == 0.0, 1.0, inter / np.where(denom == 0.0, 1.0, denom))
-        to_must = ratio >= cfg.theta
+        to_must = label_overlap_ratio(ds.labels[pairs[:, 0]], ds.labels[pairs[:, 1]]) >= cfg.theta
         must.append(pairs[to_must][:need_must])
         cannot.append(pairs[~to_must][:need_cannot])
         need_must -= must[-1].shape[0]

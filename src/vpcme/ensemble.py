@@ -10,7 +10,7 @@ stay uniform, which is the bagging-style baseline.
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .errors import ConfigError, ValidationError
 from .mlknn import MlknnModel, fit_mlknn, posterior_scores, predict_bipartition
 from .projection import ProjectionModel, fit_projection, transform
 
-MODEL_FORMAT = "vpcme-model/1"
+MODEL_FORMAT = "vpcme-model/2"
+MODEL_FORMAT_1 = "vpcme-model/1"  # still read: per-member points, labels, k and smoothing
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,6 @@ class VpcmeConfig:
     theta: float = 0.6
     k_neighbors: int = 10
     smoothing: float = 1.0
-    n_must: int = None  # None = number of training instances
-    n_cannot: int = None
     seed: int = 0
     boosting_enabled: bool = True
 
@@ -52,16 +51,20 @@ class VpcmeModel:
     tuple per member. ``scaler`` is None or the (mean, scale) pair that
     :func:`predict_ensemble` applies to every query, ``(x - mean) / scale``,
     because the members were trained on features standardized that way.
+    ``features`` holds the training rows as the members saw them (after any
+    scaler), which each member's classifier holds projected through its W;
+    it is None only for a model read from a ``vpcme-model/1`` file.
     """
 
     members: tuple
     config: VpcmeConfig
     training_log: tuple
     scaler: tuple | None = None
+    features: np.ndarray | None = None
 
     def __post_init__(self):
-        members = tuple(self.members)
-        if len(members) != self.config.ensemble_size:
+        members, cfg = tuple(self.members), self.config
+        if len(members) != cfg.ensemble_size:
             raise ValidationError("member count must equal the configured ensemble size")
         first_proj, first_classifier = members[0]
         for proj, classifier in members:
@@ -70,6 +73,8 @@ class VpcmeModel:
             if (proj.input_dim != first_proj.input_dim
                     or classifier.label_count != first_classifier.label_count):
                 raise ValidationError("members must share their feature and label counts")
+            if (classifier.k_neighbors, classifier.smoothing) != (cfg.k_neighbors, cfg.smoothing):
+                raise ValidationError("members must use the config's k_neighbors and smoothing")
         log = tuple(tuple(t) for t in self.training_log)
         if len(log) != len(members):
             raise ValidationError("training_log must hold one row per member")
@@ -85,6 +90,12 @@ class VpcmeModel:
             mean.setflags(write=False)
             scale.setflags(write=False)
             object.__setattr__(self, "scaler", (mean, scale))
+        if self.features is not None:
+            features = np.ascontiguousarray(self.features, dtype=np.float64)
+            if features.shape != (first_classifier.train_points.shape[0], first_proj.input_dim):
+                raise ValidationError("features must have one row per training row and one per input")
+            features.setflags(write=False)
+            object.__setattr__(self, "features", features)
 
     @property
     def feature_count(self) -> int:
@@ -102,11 +113,7 @@ def _member_rng(seed: int, member: int) -> np.random.Generator:
 def _fit_member(ds, weights, cfg, member_index):
     rng = _member_rng(cfg.seed, member_index)
     n = ds.instance_count
-    constraint_cfg = ConstraintConfig(
-        theta=cfg.theta,
-        target_must=n if cfg.n_must is None else cfg.n_must,
-        target_cannot=n if cfg.n_cannot is None else cfg.n_cannot,
-    )
+    constraint_cfg = ConstraintConfig(theta=cfg.theta, target_must=n, target_cannot=n)
     sets = sample_constraints(ds, weights, constraint_cfg, rng)
     proj = fit_projection(ds, sets)
     classifier, mis = _fit_classifier(transform(proj, ds.features), ds.labels, cfg)
@@ -143,7 +150,7 @@ def train_vpcme(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
                 weights /= weights.sum()
             members.append(member)
             log.append((error_rate, member[0].reduced_dim, sets.n_must, sets.n_cannot))
-    return VpcmeModel(members=tuple(members), config=cfg, training_log=tuple(log))
+    return VpcmeModel(tuple(members), cfg, tuple(log), features=ds.features)
 
 
 def train_single_mlknn(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
@@ -153,18 +160,11 @@ def train_single_mlknn(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
     with one_blas_thread():
         classifier, mis = _fit_classifier(ds.features, ds.labels, cfg)
     error_rate = float(np.mean(mis))
-    single_cfg = VpcmeConfig(
-        ensemble_size=1,
-        theta=cfg.theta,
-        k_neighbors=cfg.k_neighbors,
-        smoothing=cfg.smoothing,
-        seed=cfg.seed,
-        boosting_enabled=False,
-    )
     return VpcmeModel(
         members=((identity, classifier),),
-        config=single_cfg,
+        config=replace(cfg, ensemble_size=1, boosting_enabled=False),
         training_log=((error_rate, k, 0, 0),),
+        features=ds.features,
     )
 
 
@@ -207,12 +207,18 @@ def predict_ensemble(model: VpcmeModel, x):
 
 
 def save_model(model: VpcmeModel, path) -> None:
-    """Persist everything needed to reproduce predictions bit-exactly."""
+    """Write a ``vpcme-model/2`` archive, which predicts bit-exactly once loaded:
+    the training features and labels once, and each member's projection and
+    MLKNN tables."""
+    if model.features is None:
+        raise ValidationError(f"a model without its training features cannot be saved as {MODEL_FORMAT}")
     payload = {
         "format": MODEL_FORMAT,
         "config": json.dumps(asdict(model.config), sort_keys=True),
         "member_count": np.int64(len(model.members)),
         "training_log": np.array(model.training_log, dtype=np.float64).reshape(-1, 4),
+        "features": model.features,
+        "labels": model.members[0][1].train_labels,
     }
     if model.scaler is not None:
         payload["scaler_mean"], payload["scaler_scale"] = model.scaler
@@ -220,13 +226,9 @@ def save_model(model: VpcmeModel, path) -> None:
         payload[f"m{i}_w"] = proj.w
         payload[f"m{i}_eigenvalues"] = proj.eigenvalues
         payload[f"m{i}_scaling_r"] = np.float64(proj.scaling_r)
-        payload[f"m{i}_train_points"] = classifier.train_points
-        payload[f"m{i}_train_labels"] = classifier.train_labels
         payload[f"m{i}_prior_pos"] = classifier.prior_pos
         payload[f"m{i}_freq_pos"] = classifier.freq_pos
         payload[f"m{i}_freq_neg"] = classifier.freq_neg
-        payload[f"m{i}_k_neighbors"] = np.int64(classifier.k_neighbors)
-        payload[f"m{i}_smoothing"] = np.float64(classifier.smoothing)
     with open(path, "wb") as handle:
         np.savez(handle, **payload)
 
@@ -234,10 +236,12 @@ def save_model(model: VpcmeModel, path) -> None:
 def load_model(path):
     """Inverse of :func:`save_model`; returns the :class:`VpcmeModel`.
 
-    A file that is not a vpcme model, lacks one of its arrays, or holds one
-    that does not decode or that the model types reject (a shape that
-    disagrees with the rest of the model, say) raises ``ValidationError``
-    naming it.
+    Each member's training points are rebuilt as ``transform(proj, features)``
+    at one BLAS thread, the bits training computed; a ``vpcme-model/1`` file
+    stores them instead, and gives a model without ``features``. A file that
+    is not a vpcme model, lacks one of its arrays, or holds one that does not
+    decode or that the model types reject (a shape that disagrees with the
+    rest of the model, say) raises ``ValidationError`` naming it.
     """
     try:
         data = np.load(path, allow_pickle=False)
@@ -245,8 +249,9 @@ def load_model(path):
         data = None
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise ValidationError(f"{path}: not a {MODEL_FORMAT} model file")
-    with data:
-        if "format" not in data or str(data["format"]) != MODEL_FORMAT:
+    with data, one_blas_thread():
+        fmt = str(data["format"]) if "format" in data else None
+        if fmt not in (MODEL_FORMAT, MODEL_FORMAT_1):
             raise ValidationError(f"{path}: not a {MODEL_FORMAT} model file")
 
         def read(key):
@@ -258,36 +263,34 @@ def load_model(path):
         # the wrong type or shape, raises one of these while decoding or in
         # the model types' checks
         try:
-            cfg = VpcmeConfig(**json.loads(str(read("config"))))
-            count = int(read("member_count"))
-            members = []
-            for i in range(count):
+            fields = dict(json.loads(str(read("config"))))
+            if fmt == MODEL_FORMAT_1:  # the pair targets only steered training
+                fields = {key: fields[key] for key in fields.keys() - {"n_must", "n_cannot"}}
+            cfg = VpcmeConfig(**fields)
+            members, features = [], None
+            for i in range(int(read("member_count"))):
                 proj = ProjectionModel(
                     w=read(f"m{i}_w"),
                     eigenvalues=read(f"m{i}_eigenvalues"),
                     scaling_r=float(read(f"m{i}_scaling_r")),
                 )
-                classifier = MlknnModel(
-                    k_neighbors=int(read(f"m{i}_k_neighbors")),
-                    smoothing=float(read(f"m{i}_smoothing")),
-                    train_points=read(f"m{i}_train_points"),
-                    train_labels=read(f"m{i}_train_labels"),
-                    prior_pos=read(f"m{i}_prior_pos"),
-                    freq_pos=read(f"m{i}_freq_pos"),
-                    freq_neg=read(f"m{i}_freq_neg"),
-                )
-                members.append((proj, classifier))
-            log = tuple(
-                (float(row[0]), int(row[1]), int(row[2]), int(row[3]))
-                for row in read("training_log")
-            )
+                if fmt == MODEL_FORMAT_1:
+                    points, labels = read(f"m{i}_train_points"), read(f"m{i}_train_labels")
+                    k, smoothing = int(read(f"m{i}_k_neighbors")), float(read(f"m{i}_smoothing"))
+                else:
+                    if features is None:
+                        features, labels = read("features"), read("labels")
+                        if len(features) != len(labels):
+                            raise ValueError("'features' and 'labels' row counts differ")
+                    points, k, smoothing = transform(proj, features), cfg.k_neighbors, cfg.smoothing
+                tables = (read(f"m{i}_{name}") for name in ("prior_pos", "freq_pos", "freq_neg"))
+                members.append((proj, MlknnModel(k, smoothing, points, labels, *tables)))
+            log = [(float(e), int(d), int(m), int(c)) for e, d, m, c in read("training_log")]
             scaler = None
             if "scaler_mean" in data or "scaler_scale" in data:
                 scaler = (read("scaler_mean"), read("scaler_scale"))
-            return VpcmeModel(members=tuple(members), config=cfg, training_log=log, scaler=scaler)
+            return VpcmeModel(tuple(members), cfg, log, scaler, features)
         except KeyError as exc:
-            raise ValidationError(
-                f"{path}: not a {MODEL_FORMAT} model file, no {exc.args[0]!r} array"
-            ) from None
+            raise ValidationError(f"{path}: not a {fmt} model file, no {exc.args[0]!r} array") from None
         except (ValidationError, ValueError, TypeError, IndexError) as exc:
-            raise ValidationError(f"{path}: not a {MODEL_FORMAT} model file: {exc}") from exc
+            raise ValidationError(f"{path}: not a {fmt} model file: {exc}") from exc

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constraints import label_overlap_ratio
 from .errors import UndefinedMetricError, ValidationError
 
 METRIC_NAMES = (
@@ -158,15 +159,12 @@ def average_precision(truths, ranks) -> float:
 
 
 def f1_metric(truths, bipartitions) -> float:
-    """Per-instance F1 averaged over instances; two empty sets count as 1."""
+    """Per-instance F1, the truth/prediction overlap ratio (1 for two empty sets), averaged."""
     y = _as_bool_matrix(truths, "truths")
     z = _as_bool_matrix(bipartitions, "bipartitions")
     if y.shape != z.shape:
         raise ValidationError("truths and bipartitions must have the same shape")
-    inter = (y & z).sum(axis=1)
-    denom = y.sum(axis=1) + z.sum(axis=1)
-    vals = np.where(denom == 0, 1.0, 2.0 * inter / np.where(denom == 0, 1, denom))
-    return float(np.mean(vals))
+    return float(np.mean(label_overlap_ratio(y, z)))
 
 
 def recall(truths, bipartitions) -> float:

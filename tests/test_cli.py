@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import jsonschema
@@ -13,6 +14,7 @@ import pytest
 from vpcme.cli import main
 from vpcme.dataset import format_rows, load_csv, load_features, save_csv, synthetic_dataset
 from vpcme.ensemble import load_model, predict_ensemble, save_model
+from vpcme.errors import ValidationError
 from vpcme.harness import ExperimentConfig, train_method
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -116,6 +118,33 @@ def data_csv(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def save_model_v1(model, path):
+    """Write ``model`` in the vpcme-model/1 layout: the config with its two
+    pair targets, and each member's own projected training rows, labels, k
+    and smoothing next to its projection and tables."""
+    payload = {
+        "format": "vpcme-model/1",
+        "config": json.dumps(dict(asdict(model.config), n_must=None, n_cannot=None), sort_keys=True),
+        "member_count": np.int64(len(model.members)),
+        "training_log": np.array(model.training_log, dtype=np.float64).reshape(-1, 4),
+    }
+    if model.scaler is not None:
+        payload["scaler_mean"], payload["scaler_scale"] = model.scaler
+    for i, (proj, classifier) in enumerate(model.members):
+        payload[f"m{i}_w"] = proj.w
+        payload[f"m{i}_eigenvalues"] = proj.eigenvalues
+        payload[f"m{i}_scaling_r"] = np.float64(proj.scaling_r)
+        payload[f"m{i}_train_points"] = classifier.train_points
+        payload[f"m{i}_train_labels"] = classifier.train_labels
+        payload[f"m{i}_prior_pos"] = classifier.prior_pos
+        payload[f"m{i}_freq_pos"] = classifier.freq_pos
+        payload[f"m{i}_freq_neg"] = classifier.freq_neg
+        payload[f"m{i}_k_neighbors"] = np.int64(classifier.k_neighbors)
+        payload[f"m{i}_smoothing"] = np.float64(classifier.smoothing)
+    with open(path, "wb") as handle:
+        np.savez(handle, **payload)
 
 
 def read_json(path):
@@ -357,6 +386,49 @@ class TestTrainPredict:
         save_model(train_method(cfg, load_csv(data_csv, 3), cfg.seed), direct)
         assert model_path.read_bytes() == direct.read_bytes()
 
+    @pytest.mark.parametrize("zscore", [False, True], ids=["plain", "zscore"])
+    @pytest.mark.parametrize("method", ["vpcme", "bagging_vpcp", "mlknn_single"])
+    def test_v1_and_v2_files_of_one_model_predict_the_same_bytes(
+        self, data_csv, tmp_path, method, zscore
+    ):
+        cfg = ExperimentConfig(method=method, ensemble_size=3, k_neighbors=5, seed=4, zscore=zscore)
+        model = train_method(cfg, load_csv(data_csv, 3), cfg.seed)
+        outputs = []
+        for name, writer in (("v1", save_model_v1), ("v2", save_model)):
+            model_path = str(tmp_path / f"{name}.npz")
+            writer(model, model_path)
+            pred_path = tmp_path / f"{name}.csv"
+            assert run_cli("predict", "--model", model_path, "--data", data_csv, "--labels", "3",
+                           "--out", str(pred_path)) == 0
+            outputs.append(pred_path.read_bytes())
+        assert outputs[0] == outputs[1]
+        v1 = load_model(str(tmp_path / "v1.npz"))
+        assert v1.features is None and v1.config == model.config
+        with pytest.raises(ValidationError, match="without its training features"):
+            save_model(v1, str(tmp_path / "again.npz"))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda a: {"m1_smoothing": np.float64(0.5)},
+            lambda a: {"config": str(a["config"]).replace('"k_neighbors": 5', '"k_neighbors": 4')},
+        ],
+        ids=["member-smoothing", "config-k"],
+    )
+    def test_v1_file_whose_member_disagrees_with_its_config_is_rejected(
+        self, data_csv, tmp_path, capsys, edit
+    ):
+        cfg = ExperimentConfig(ensemble_size=2, k_neighbors=5, seed=4)
+        model_path = str(tmp_path / "v1.npz")
+        save_model_v1(train_method(cfg, load_csv(data_csv, 3), cfg.seed), model_path)
+        with np.load(model_path) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays.update(edit(arrays))
+        np.savez(model_path, **arrays)
+        assert run_cli("predict", "--model", model_path, "--data", data_csv, "--labels", "3") == 2
+        message = f"{model_path}: not a vpcme-model/1 model file: members must use the config's"
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("smoothing", ["nan", "inf", "0"])
     def test_train_rejects_a_smoothing_that_is_not_finite_and_positive(
         self, data_csv, tmp_path, capsys, smoothing
@@ -403,7 +475,7 @@ class TestEntryPoint:
 
     def test_predict_rejects_a_file_that_is_not_a_model(self, data_csv, capsys):
         assert run_cli("predict", "--model", data_csv, "--data", data_csv, "--labels", "3") == 2
-        assert f"{data_csv}: not a vpcme-model/1 model file" in capsys.readouterr().err
+        assert f"{data_csv}: not a vpcme-model/2 model file" in capsys.readouterr().err
 
     def test_predict_rejects_a_model_archive_without_member_arrays(self, data_csv, tmp_path, capsys):
         model_path = str(tmp_path / "model.npz")
@@ -415,7 +487,7 @@ class TestEntryPoint:
             kept = {key: data[key] for key in ("format", "config", "member_count", "training_log")}
         np.savez(model_path, **kept)
         assert run_cli("predict", "--model", model_path, "--data", data_csv, "--labels", "3") == 2
-        message = f"{model_path}: not a vpcme-model/1 model file, no 'm0_w' array"
+        message = f"{model_path}: not a vpcme-model/2 model file, no 'm0_w' array"
         assert message in capsys.readouterr().err
 
     def test_predict_rejects_a_model_archive_with_a_malformed_array(self, data_csv, tmp_path, capsys):
@@ -429,7 +501,7 @@ class TestEntryPoint:
         arrays["member_count"] = "x"
         np.savez(model_path, **arrays)
         assert run_cli("predict", "--model", model_path, "--data", data_csv, "--labels", "3") == 2
-        message = f"{model_path}: not a vpcme-model/1 model file: invalid literal for int()"
+        message = f"{model_path}: not a vpcme-model/2 model file: invalid literal for int()"
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -439,8 +511,11 @@ class TestEntryPoint:
             ("scaler_scale", lambda a: np.zeros_like(a), "its scale finite and positive"),
             ("m0_prior_pos", lambda a: np.full(5, 0.5), "prior_pos must have shape (labels,)"),
             ("scaler_mean", None, "no 'scaler_mean' array"),
+            ("features", lambda a: a[:-1], "'features' and 'labels' row counts differ"),
+            ("features", None, "no 'features' array"),
         ],
-        ids=["scale-short", "scale-zero", "prior-long", "scale-alone"],
+        ids=["scale-short", "scale-zero", "prior-long", "scale-alone", "features-short",
+             "features-missing"],
     )
     def test_predict_rejects_an_archive_with_a_bad_scaler_or_prior(
         self, data_csv, tmp_path, capsys, key, edit, message
@@ -460,7 +535,7 @@ class TestEntryPoint:
         capsys.readouterr()
         assert run_cli("predict", "--model", model_path, "--data", data_csv, "--labels", "3") == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {model_path}: not a vpcme-model/1 model file")
+        assert err.startswith(f"error: {model_path}: not a vpcme-model/2 model file")
         assert message in err
         assert err.count("\n") == 1
 

@@ -31,12 +31,9 @@ def quick_cfg(**overrides):
 
 
 def drop_last_label_of_m1(arrays):
-    """Member 1's label column 2 and its tables cut away: a consistent member
-    whose label count disagrees with member 0's."""
-    cut = {"m1_train_labels": arrays["m1_train_labels"][:, :2]}
-    for name in ("prior_pos", "freq_pos", "freq_neg"):
-        cut[f"m1_{name}"] = arrays[f"m1_{name}"][:2]
-    return cut
+    """Member 1's tables for label 2 cut away: a member whose label count
+    disagrees with the shared labels."""
+    return {f"m1_{name}": arrays[f"m1_{name}"][:2] for name in ("prior_pos", "freq_pos", "freq_neg")}
 
 
 class TestTraining:
@@ -87,13 +84,6 @@ class TestTraining:
         ds = small_dataset(n=5)
         with pytest.raises(ConfigError):
             train_vpcme(ds, quick_cfg(k_neighbors=5))
-
-    def test_constraint_target_overrides(self):
-        ds = small_dataset()
-        model = train_vpcme(ds, quick_cfg(ensemble_size=2, n_must=10, n_cannot=15))
-        for _, _, n_must, n_cannot in model.training_log:
-            assert n_must <= 10
-            assert n_cannot <= 15
 
     def test_must_link_shortfall_completes_with_cannot_links_only(self):
         # distinct non-empty label sets: every pair's overlap ratio is below 1,
@@ -285,6 +275,27 @@ class TestSingleMlknn:
 
 
 class TestPersistence:
+    @pytest.mark.parametrize("zscore", [False, True], ids=["plain", "zscore"])
+    @pytest.mark.parametrize(
+        "trainer", [train_vpcme, train_single_mlknn], ids=["vpcme", "mlknn_single"]
+    )
+    def test_loaded_members_rebuild_the_trained_points_bit_for_bit(self, tmp_path, trainer, zscore):
+        ds = synthetic_dataset(300, 24, 5, seed=41, label_noise=0.05)
+        if zscore:
+            x = ds.features
+            ds = MultiLabelDataset((x - x.mean(axis=0)) / x.std(axis=0), ds.labels)
+        model = trainer(ds, quick_cfg(ensemble_size=4))
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.features.tobytes() == model.features.tobytes()
+        for (_, trained), (_, rebuilt) in zip(model.members, loaded.members, strict=True):
+            assert rebuilt.train_points.tobytes() == trained.train_points.tobytes()
+            assert np.array_equal(rebuilt.train_labels, trained.train_labels)
+        again = tmp_path / "again.npz"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_round_trip_bit_exact_predictions(self, tmp_path):
         ds = small_dataset(seed=29)
         model = train_vpcme(ds, quick_cfg())
@@ -315,17 +326,17 @@ class TestPersistence:
         path = str(tmp_path / "data.csv")
         with open(path, "w") as handle:
             handle.write("1.0,2.0,1,0\n")
-        with pytest.raises(ValidationError, match=re.escape(f"{path}: not a vpcme-model/1 model file")):
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: not a vpcme-model/2 model file")):
             load_model(path)
 
     def test_npz_without_model_keys_is_not_a_model(self, tmp_path):
         path = str(tmp_path / "other.npz")
         np.savez(path, x=np.zeros(3))
-        with pytest.raises(ValidationError, match=re.escape(f"{path}: not a vpcme-model/1 model file")):
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: not a vpcme-model/2 model file")):
             load_model(path)
 
     @pytest.mark.parametrize(
-        "missing", ["m0_w", "m1_freq_neg", "training_log", "scaler_scale", "scaler_mean"]
+        "missing", ["m0_w", "m1_freq_neg", "training_log", "scaler_scale", "scaler_mean", "labels"]
     )
     def test_archive_missing_an_array_is_not_a_model(self, tmp_path, missing):
         ds = small_dataset(seed=33)
@@ -335,7 +346,7 @@ class TestPersistence:
         with np.load(path) as data:
             kept = {key: data[key] for key in data.files if key != missing}
         np.savez(path, **kept)
-        message = f"{path}: not a vpcme-model/1 model file, no '{missing}' array"
+        message = f"{path}: not a vpcme-model/2 model file, no '{missing}' array"
         with pytest.raises(ValidationError, match=re.escape(message)):
             load_model(path)
 
@@ -364,7 +375,7 @@ class TestPersistence:
             arrays = {name: data[name] for name in data.files}
         arrays.update(edit(arrays))
         np.savez(path, **arrays)
-        message = f"{path}: not a vpcme-model/1 model file: "
+        message = f"{path}: not a vpcme-model/2 model file: "
         with pytest.raises(ValidationError, match=re.escape(message)):
             load_model(path)
 
@@ -410,6 +421,16 @@ class TestModelValidation:
                     config=quick_cfg(ensemble_size=2),
                     training_log=a.training_log + other.training_log,
                 )
+
+    def test_features_and_member_settings_must_fit_the_members(self):
+        ds = small_dataset(seed=43)
+        model = train_vpcme(ds, quick_cfg(ensemble_size=1))
+        with pytest.raises(ValidationError, match="features must have one row per training row"):
+            replace(model, features=ds.features[:-1])
+        with pytest.raises(ValidationError, match="config's k_neighbors and smoothing"):
+            replace(model, config=quick_cfg(ensemble_size=1, k_neighbors=4))
+        with pytest.raises(ValidationError, match="config's k_neighbors and smoothing"):
+            replace(model, config=quick_cfg(ensemble_size=1, smoothing=0.5))
 
     def test_training_log_needs_one_row_per_member(self):
         model = train_vpcme(small_dataset(seed=37), quick_cfg(ensemble_size=2))
