@@ -173,16 +173,15 @@ def predict_ensemble(model: VpcmeModel, x):
 
     A label is predicted when strictly more than half the members vote for
     it; an exact half split falls back to the mean score against 0.5.
-    Accepts a single feature vector or a matrix of rows of raw features;
-    a model with a scaler standardizes them itself. Members score on
-    ``parallel_map``'s thread pool; votes and scores add up in member order.
+    Takes a matrix of rows of raw features; a model with a scaler
+    standardizes them itself. Members score on ``parallel_map``'s thread
+    pool; votes and scores add up in member order.
     """
     arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != model.feature_count:
-        raise ValidationError(f"query width must be {model.feature_count}")
+        raise ValidationError(
+            f"expected a matrix of query rows of width {model.feature_count}, got shape {arr.shape}"
+        )
     if model.scaler is not None:
         mean, scale = model.scaler
         arr = (arr - mean) / scale
@@ -201,8 +200,6 @@ def predict_ensemble(model: VpcmeModel, x):
         score_sum += member_scores
     mean_scores = score_sum / s
     bipartition = (2 * votes > s) | ((2 * votes == s) & (mean_scores > 0.5))
-    if single:
-        return bipartition[0], mean_scores[0]
     return bipartition, mean_scores
 
 

@@ -55,6 +55,8 @@ class ExperimentConfig:
             raise ConfigError("ensemble_size must be at least 1")
         if self.k_neighbors < 1:
             raise ConfigError("k_neighbors must be at least 1")
+        if not (math.isfinite(self.smoothing) and self.smoothing > 0.0):
+            raise ConfigError(f"smoothing must be finite and positive, got {self.smoothing}")
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
 

@@ -56,21 +56,19 @@ def _as_rank_matrix(x):
 
 
 def rank_from_scores(scores) -> np.ndarray:
-    """Ranks 1..M from scores: higher score ranks better, ties to lower index."""
+    """Rank matrix from a score matrix: in each row, higher score ranks
+    better, ties to the lower index."""
     arr = np.asarray(scores, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] < 1:
+        raise ValidationError("scores must be a matrix with at least one label")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("scores must be finite to be ranked")
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] < 1:
-        raise ValidationError("scores must be a vector or matrix with at least one label")
     order = np.argsort(-arr, axis=1, kind="stable")
     ranks = np.empty_like(order)
     m = arr.shape[1]
     rows = np.arange(arr.shape[0])[:, None]
     ranks[rows, order] = np.arange(1, m + 1)
-    return ranks[0] if single else ranks
+    return ranks
 
 
 def hamming_loss(truths, bipartitions) -> float:

@@ -127,19 +127,11 @@ def fit_mlknn(points, labels, k_neighbors: int = DEFAULT_K,
     )
 
 
-def _as_queries(model: MlknnModel, query):
-    q = np.asarray(query, dtype=np.float64)
-    single = q.ndim == 1
-    if single:
-        q = q[None, :]
-    if q.ndim != 2 or q.shape[1] != model.dim:
-        raise ValidationError(f"query width must be {model.dim}")
-    return q, single
-
-
 def posterior_scores(model: MlknnModel, query) -> np.ndarray:
-    """Posterior probability of each label for one query or a query matrix."""
-    q, single = _as_queries(model, query)
+    """Posterior probability of each label for each row of a query matrix."""
+    q = np.asarray(query, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != model.dim:
+        raise ValidationError(f"expected a matrix of query rows of width {model.dim}, got shape {q.shape}")
     if model.train_neighbors is not None and np.array_equal(q, model.train_points):
         neighbors = model.train_neighbors  # the training rows: reuse the fit's search
     else:
@@ -151,13 +143,12 @@ def posterior_scores(model: MlknnModel, query) -> np.ndarray:
     cols = np.arange(r)
     n_pos = model.freq_pos.sum(axis=1)
     n_neg = model.freq_neg.sum(axis=1)
-    like_pos = (s + model.freq_pos[cols[None, :], c]) / (s * (k + 1) + n_pos)
-    like_neg = (s + model.freq_neg[cols[None, :], c]) / (s * (k + 1) + n_neg)
+    like_pos = (s + model.freq_pos[cols, c]) / (s * (k + 1) + n_pos)
+    like_neg = (s + model.freq_neg[cols, c]) / (s * (k + 1) + n_neg)
     num = model.prior_pos * like_pos
-    scores = num / (num + (1.0 - model.prior_pos) * like_neg)
-    return scores[0] if single else scores
+    return num / (num + (1.0 - model.prior_pos) * like_neg)
 
 
 def predict_bipartition(model: MlknnModel, query) -> np.ndarray:
-    """Boolean label vector: label present iff its posterior exceeds 0.5."""
+    """Boolean label matrix: label present iff its posterior exceeds 0.5."""
     return posterior_scores(model, query) > 0.5

@@ -135,18 +135,8 @@ def fit_projection(ds: MultiLabelDataset, sets: PairConstraintSets) -> Projectio
 
 
 def transform(model: ProjectionModel, x) -> np.ndarray:
-    """Project one k-vector or an n-by-k matrix into the reduced space."""
+    """Project an n-by-k matrix of rows into the reduced space."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.shape[0] != model.input_dim:
-            raise ValidationError(
-                f"expected a vector of width {model.input_dim}, got {x.shape[0]}"
-            )
-        return x @ model.w
-    if x.ndim == 2:
-        if x.shape[1] != model.input_dim:
-            raise ValidationError(
-                f"expected rows of width {model.input_dim}, got {x.shape[1]}"
-            )
-        return x @ model.w
-    raise ValidationError("transform input must be a vector or a matrix")
+    if x.ndim != 2 or x.shape[1] != model.input_dim:
+        raise ValidationError(f"expected a matrix of rows of width {model.input_dim}, got shape {x.shape}")
+    return x @ model.w

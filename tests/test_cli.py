@@ -211,6 +211,13 @@ class TestCv:
         assert code == 2
         assert "method" in capsys.readouterr().err
 
+    def test_bad_smoothing_rejected_before_the_data_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.csv")
+        assert run_cli("cv", "--data", missing, "--labels", "3", "--smoothing", "nan") == 2
+        err = capsys.readouterr().err
+        assert "error: smoothing must be finite and positive, got nan" in err
+        assert "nope.csv" not in err
+
 
 class TestSweeps:
     def test_sweep_theta(self, data_csv, tmp_path):

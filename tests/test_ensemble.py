@@ -16,7 +16,8 @@ from vpcme.ensemble import (
     train_vpcme,
 )
 from vpcme.errors import ConfigError, ValidationError
-from vpcme.mlknn import MlknnModel, fit_mlknn, posterior_scores
+from vpcme.metrics import rank_from_scores
+from vpcme.mlknn import MlknnModel, fit_mlknn, posterior_scores, predict_bipartition
 from vpcme.projection import ProjectionModel, fit_projection, transform
 
 
@@ -36,6 +37,17 @@ def drop_last_label_of_m1(arrays):
     return {f"m1_{name}": arrays[f"m1_{name}"][:2] for name in ("prior_pos", "freq_pos", "freq_neg")}
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"ensemble_size": 0}, "ensemble_size must be at least 1"),
+    ({"theta": -0.1}, "theta must lie in [0, 1], got -0.1"),
+    ({"theta": 1.5}, "theta must lie in [0, 1], got 1.5"),
+    ({"seed": -1}, "seed must be a non-negative integer"),
+])
+def test_config_range_checks(overrides, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        VpcmeConfig(**overrides)
+
+
 class TestTraining:
     def test_single_member_equals_manual_pipeline(self):
         ds = small_dataset()
@@ -52,7 +64,7 @@ class TestTraining:
         got_proj, got_classifier = model.members[0]
         assert np.array_equal(got_proj.w, proj.w)
         assert np.array_equal(got_classifier.freq_pos, classifier.freq_pos)
-        query = ds.features[3]
+        query = ds.features[3][None]
         bip, scores = predict_ensemble(model, query)
         expect = posterior_scores(classifier, transform(proj, query))
         assert np.array_equal(scores, expect)
@@ -226,16 +238,34 @@ class TestPrediction:
         model = train_vpcme(ds, quick_cfg(ensemble_size=1))
         proj, classifier = model.members[0]
         for i in range(5):
-            bip, scores = predict_ensemble(model, ds.features[i])
-            member = posterior_scores(classifier, transform(proj, ds.features[i]))
+            row = ds.features[i][None]
+            bip, scores = predict_ensemble(model, row)
+            member = posterior_scores(classifier, transform(proj, row))
             assert np.array_equal(scores, member)
             assert np.array_equal(bip, member > 0.5)
+
+    # every function on the prediction path, called on an mlknn_single model,
+    # whose one member projects through the identity
+    @pytest.mark.parametrize("call", [
+        lambda model, rows: transform(model.members[0][0], rows),
+        lambda model, rows: posterior_scores(model.members[0][1], rows),
+        lambda model, rows: predict_bipartition(model.members[0][1], rows),
+        predict_ensemble,
+        lambda model, rows: rank_from_scores(rows),
+    ], ids=["transform", "posterior_scores", "predict_bipartition", "predict_ensemble",
+            "rank_from_scores"])
+    def test_takes_row_matrices_only(self, call):
+        ds = small_dataset()
+        model = train_single_mlknn(ds, quick_cfg())
+        call(model, ds.features[:1])
+        with pytest.raises(ValidationError, match="matrix"):
+            call(model, ds.features[0])
 
     def test_width_mismatch(self):
         ds = small_dataset()
         model = train_vpcme(ds, quick_cfg(ensemble_size=1))
         with pytest.raises(ValidationError):
-            predict_ensemble(model, np.zeros(ds.feature_count + 1))
+            predict_ensemble(model, np.zeros((1, ds.feature_count + 1)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, bad):
@@ -252,7 +282,7 @@ class TestPrediction:
         mean = ds.features.mean(axis=0) + 0.25
         scale = ds.features.std(axis=0) * 1.5
         scaled = replace(model, scaler=(mean, scale))
-        for raw in (ds.features[:9], ds.features[4]):
+        for raw in (ds.features[:9], ds.features[4][None]):
             bip_a, scores_a = predict_ensemble(scaled, raw)
             bip_b, scores_b = predict_ensemble(model, (raw - mean) / scale)
             assert scores_a.shape == scores_b.shape

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from vpcme.harness import (
     paired_t_test,
     run_sweep,
 )
+from vpcme.metrics import METRIC_NAMES
 
 
 def sign_dataset(n=300, features=3, seed=0, margin=0.2):
@@ -79,6 +81,20 @@ class TestCriticalTable:
         assert list(CRITICAL_001) == sorted(CRITICAL_001, reverse=True)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"folds": 1}, "folds must be at least 2"),
+    ({"repeats": 0}, "repeats must be at least 1"),
+    ({"k_neighbors": 0}, "k_neighbors must be at least 1"),
+    ({"smoothing": 0.0}, "smoothing must be finite and positive, got 0.0"),
+    ({"smoothing": -1.0}, "smoothing must be finite and positive, got -1.0"),
+    ({"smoothing": math.nan}, "smoothing must be finite and positive, got nan"),
+    ({"smoothing": math.inf}, "smoothing must be finite and positive, got inf"),
+])
+def test_experiment_config_range_checks(overrides, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(**overrides)
+
+
 class TestCrossValidate:
     def test_single_mlknn_learns_sign_labels(self):
         ds = sign_dataset(n=300, features=3, seed=1)
@@ -102,6 +118,12 @@ class TestCrossValidate:
         assert len(report.units) == 12
         assert all(len(v) == 12 for v in report.unit_values.values())
         assert report.protocol["reshuffle_per_repeat"] is True
+
+    def test_more_folds_than_instances_rejected(self):
+        ds = synthetic_dataset(12, 3, 3, seed=7)
+        cfg = ExperimentConfig(method="mlknn_single", k_neighbors=1, folds=13, repeats=1)
+        with pytest.raises(ConfigError, match="^cannot split 12 instances into 13 folds$"):
+            cross_validate(cfg, dataset=ds)
 
     def test_fold_too_small_rejected_before_training(self):
         ds = synthetic_dataset(12, 3, 3, seed=7)
@@ -184,6 +206,8 @@ class TestRunSweep:
             SweepSpec("ensemble_size", (0,))
         with pytest.raises(ConfigError):
             SweepSpec("learning_rate", (0.1,))
+        with pytest.raises(ConfigError, match="^sweep needs at least one value$"):
+            SweepSpec("theta", ())
 
 
 class TestCompareMethods:
@@ -236,6 +260,28 @@ class TestCompareMethods:
                 [self.make_cfg("vpcme"), self.make_cfg("mlknn_single", seed=99)],
                 dataset=synthetic_dataset(50, 3, 3, seed=13),
             )
+
+    @pytest.mark.parametrize("metric, reference_higher, marker", [
+        ("hamming_loss", True, "loss"),
+        ("hamming_loss", False, "win"),
+        ("average_precision", True, "win"),
+        ("average_precision", False, "loss"),
+    ])
+    def test_markers_read_from_the_reference(self, monkeypatch, metric, reference_higher, marker):
+        # fixed unit values, the higher series ahead by about 0.1 in each of
+        # four units: t is about 24, far past the 0.01 critical value for df 3
+        high, low = (0.30, 0.31, 0.32, 0.33), (0.20, 0.22, 0.21, 0.23)
+
+        def fake_cross_validate(cfg, ds):
+            values = high if (cfg.method == "vpcme") == reference_higher else low
+            return EvaluationReport({}, {name: values for name in METRIC_NAMES}, ())
+
+        monkeypatch.setattr(harness, "cross_validate", fake_cross_validate)
+        cfgs = [self.make_cfg("vpcme"), self.make_cfg("mlknn_single")]
+        comparison = compare_methods(cfgs, dataset=synthetic_dataset(50, 3, 3, seed=13))
+        cell = comparison["tests"][metric]["mlknn_single"]
+        assert cell["significant"]
+        assert cell["marker"] == marker
 
     def test_vpcme_ranking_loss_not_worse_than_single(self):
         ds = synthetic_dataset(120, 4, 3, seed=14, label_noise=0.1, label_correlation=0.6)

@@ -92,24 +92,24 @@ def random_instances(rng, n, m):
 
 class TestRankFromScores:
     def test_plain_ordering(self):
-        assert np.array_equal(rank_from_scores([0.9, 0.1, 0.5]), [1, 3, 2])
+        assert np.array_equal(rank_from_scores([[0.9, 0.1, 0.5]])[0], [1, 3, 2])
 
     def test_all_equal_scores(self):
-        assert np.array_equal(rank_from_scores([0.4] * 4), [1, 2, 3, 4])
+        assert np.array_equal(rank_from_scores([[0.4] * 4])[0], [1, 2, 3, 4])
 
     def test_tie_on_first_two(self):
-        assert np.array_equal(rank_from_scores([0.2, 0.2, 0.8]), [2, 3, 1])
+        assert np.array_equal(rank_from_scores([[0.2, 0.2, 0.8]])[0], [2, 3, 1])
 
-    def test_matrix_rows_match_vectors(self):
+    def test_matrix_rows_match_one_row_matrices(self):
         rng = np.random.Generator(np.random.PCG64(0))
         scores = rng.random((5, 4))
         ranks = rank_from_scores(scores)
         for row_scores, row_ranks in zip(scores, ranks):
-            assert np.array_equal(rank_from_scores(row_scores), row_ranks)
+            assert np.array_equal(rank_from_scores(row_scores[None])[0], row_ranks)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
-            rank_from_scores([0.1, np.nan])
+            rank_from_scores([[0.1, np.nan]])
 
 
 class TestHammingLoss:

@@ -138,7 +138,7 @@ class TestFit:
 class TestPosterior:
     def test_hand_bayes_example(self):
         model = one_d_model()
-        scores = posterior_scores(model, np.array([1.0]))
+        scores = posterior_scores(model, np.array([[1.0]]))[0]
         assert scores[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_symmetric_tables_score_half(self):
@@ -151,7 +151,7 @@ class TestPosterior:
         model = fit_mlknn(points, labels, k_neighbors=1, smoothing=1.0)
         assert model.prior_pos[0] == 0.5
         assert np.array_equal(model.freq_pos[0], model.freq_neg[0])
-        scores = posterior_scores(model, np.array([7.3]))
+        scores = posterior_scores(model, np.array([[7.3]]))[0]
         assert np.array_equal(scores, [0.5, 0.5])
 
     def test_matches_oracle_scores(self):
@@ -163,7 +163,7 @@ class TestPosterior:
             k = int(rng.integers(1, 5))
             model = fit_mlknn(points, labels, k_neighbors=k, smoothing=1.0)
             query = rng.normal(size=2)
-            got = posterior_scores(model, query)
+            got = posterior_scores(model, query[None])[0]
             want = oracle_scores(points.tolist(), labels.tolist(), k, 1.0, query.tolist())
             assert np.allclose(got, want, atol=1e-12)
 
@@ -175,12 +175,12 @@ class TestPosterior:
         queries = rng.normal(size=(4, 3))
         batch = posterior_scores(model, queries)
         for q, row in zip(queries, batch):
-            assert np.array_equal(posterior_scores(model, q), row)
+            assert np.array_equal(posterior_scores(model, q[None])[0], row)
 
     def test_width_mismatch(self):
         model = one_d_model()
         with pytest.raises(ValidationError):
-            posterior_scores(model, np.array([1.0, 2.0]))
+            posterior_scores(model, np.array([[1.0, 2.0]]))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -190,7 +190,7 @@ class TestPosterior:
         points = rng.normal(size=(n, 2))
         labels = rng.random((n, 2)) < rng.random()
         model = fit_mlknn(points, labels, k_neighbors=int(rng.integers(1, n)))
-        scores = posterior_scores(model, rng.normal(size=2))
+        scores = posterior_scores(model, rng.normal(size=2)[None])[0]
         assert np.all(scores > 0.0)
         assert np.all(scores < 1.0)
 
@@ -199,21 +199,21 @@ class TestBipartition:
     def test_threshold(self):
         model = one_d_model()
         # query at 1.0 scores 1/3 on label 0 -> excluded
-        assert not predict_bipartition(model, np.array([1.0]))[0]
+        assert not predict_bipartition(model, np.array([[1.0]]))[0][0]
 
     def test_exact_half_is_negative(self):
         points = np.array([[0.0], [1.0], [10.0], [11.0]])
         labels = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=bool)
         model = fit_mlknn(points, labels, k_neighbors=2, smoothing=1.0)
-        scores = posterior_scores(model, np.array([5.5]))
-        preds = predict_bipartition(model, np.array([5.5]))
+        scores = posterior_scores(model, np.array([[5.5]]))[0]
+        preds = predict_bipartition(model, np.array([[5.5]]))[0]
         for s, p in zip(scores, preds):
             assert p == (s > 0.5)
 
     def test_score_vector_rule(self):
         model = one_d_model()
-        scores = posterior_scores(model, np.array([0.2]))
-        preds = predict_bipartition(model, np.array([0.2]))
+        scores = posterior_scores(model, np.array([[0.2]]))[0]
+        preds = predict_bipartition(model, np.array([[0.2]]))[0]
         assert np.array_equal(preds, scores > 0.5)
 
 

@@ -229,12 +229,12 @@ class TestTransform:
         w = np.array([[1.0], [0.0]])
         return ProjectionModel(w=w, eigenvalues=np.array([2.0]), scaling_r=4.0)
 
-    def test_vector(self):
-        assert np.array_equal(transform(self.model_ex(), np.array([3.0, 7.0])), [3.0])
+    def test_one_row_matrix(self):
+        assert np.array_equal(transform(self.model_ex(), np.array([[3.0, 7.0]]))[0], [3.0])
 
     def test_identity_projection(self):
         model = ProjectionModel(w=np.eye(2), eigenvalues=np.zeros(2), scaling_r=1.0)
-        x = np.array([1.5, -2.5])
+        x = np.array([[1.5, -2.5]])
         assert np.array_equal(transform(model, x), x)
 
     def test_batch_matches_rows(self):
@@ -243,11 +243,11 @@ class TestTransform:
         out = transform(model, batch)
         assert out.shape == (2, 1)
         for row_in, row_out in zip(batch, out):
-            assert np.array_equal(transform(model, row_in), row_out)
+            assert np.array_equal(transform(model, row_in[None])[0], row_out)
 
     def test_width_mismatch(self):
         with pytest.raises(ValidationError):
-            transform(self.model_ex(), np.array([1.0, 2.0, 3.0]))
+            transform(self.model_ex(), np.array([[1.0, 2.0, 3.0]]))
 
 
 class TestProjectionModelValidation:
