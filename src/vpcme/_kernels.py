@@ -10,7 +10,7 @@ import ctypes
 import glob
 import os
 import threading
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -211,22 +211,14 @@ def parallel_map(fn, items):
     One worker per CPU the process may run on, at most one per item.
     Runs inline with one worker, or when called from inside a worker, so
     nested calls start no second pool. Results come back in item order.
-    The first exception cancels the items not yet started and is raised
-    as it is; of several, the one of the lowest item index wins. BLAS is
-    held at one thread either way.
+    The exception of the lowest item index that raises is raised as it
+    is, once the items before it have finished; the items not yet started
+    by then are cancelled. BLAS is held at one thread either way.
     """
     items = list(items)
     workers = min(len(items), _cpu_count())
     with one_blas_thread():
         if workers <= 1 or getattr(_worker, "active", False):
             return [fn(item) for item in items]
-        pool = ThreadPoolExecutor(workers, initializer=_mark_worker)
-        try:
-            futures = [pool.submit(fn, item) for item in items]
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-    for future in futures:
-        if not future.cancelled() and future.exception() is not None:
-            raise future.exception()
-    return [future.result() for future in futures]
+        with ThreadPoolExecutor(workers, initializer=_mark_worker) as pool:
+            return list(pool.map(fn, items))

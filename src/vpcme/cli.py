@@ -101,8 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _experiment_config(args, method=None) -> ExperimentConfig:
     protocol = {"folds": args.folds, "repeats": args.repeats} if "folds" in args else {}
     return ExperimentConfig(
-        data=args.data,
-        label_count=args.labels,
         method=method if method is not None else args.method,
         theta=args.theta,
         ensemble_size=args.ensemble_size,
@@ -114,13 +112,13 @@ def _experiment_config(args, method=None) -> ExperimentConfig:
     )
 
 
-def _document(command: str, config: dict, body: dict) -> dict:
+def _document(command: str, args, config: dict, body: dict) -> dict:
     doc = {
         "schema": REPORT_SCHEMA,
         "command": command,
         "version": __version__,
         "backend": REPORT_BACKEND,
-        "config": config,
+        "config": {"data": args.data, "label_count": args.labels, **config},
     }
     doc.update(body)
     return doc
@@ -171,7 +169,8 @@ def _cmd_stats(args):
     stats = compute_stats(ds)
     doc = _document(
         "stats",
-        {"data": args.data, "label_count": args.labels},
+        args,
+        {},
         {
             "stats": {
                 "instances": stats.instances,
@@ -188,8 +187,8 @@ def _cmd_stats(args):
 
 def _cmd_cv(args):
     cfg = _experiment_config(args)
-    report = cross_validate(cfg)
-    doc = _document("cv", asdict(cfg), report.to_dict())
+    report = cross_validate(cfg, load_csv(args.data, args.labels))
+    doc = _document("cv", args, asdict(cfg), report.to_dict())
     _emit(doc, args.out)
     _print_metric_table([(cfg.method, report)])
 
@@ -198,14 +197,14 @@ def _cmd_sweep(args):
     parameter = "theta" if args.command == "sweep-theta" else "ensemble_size"
     cfg = _experiment_config(args)
     spec = SweepSpec(parameter=parameter, values=_parse_values(args.values, parameter))
-    results = run_sweep(cfg, spec)
+    results = run_sweep(cfg, spec, load_csv(args.data, args.labels))
     body = {
         "sweep": {"parameter": parameter, "values": list(spec.values)},
         "results": [
             {"value": value, **report.to_dict()} for value, report in results
         ],
     }
-    doc = _document(args.command, asdict(cfg), body)
+    doc = _document(args.command, args, asdict(cfg), body)
     _emit(doc, args.out)
     _print_metric_table([(f"{parameter}={value}", report) for value, report in results])
 
@@ -213,14 +212,14 @@ def _cmd_sweep(args):
 def _cmd_compare(args):
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     cfgs = [_experiment_config(args, method=m) for m in methods]
-    comparison = compare_methods(cfgs)
+    comparison = compare_methods(cfgs, load_csv(args.data, args.labels))
     body = {
         "methods": comparison["methods"],
         "reference": comparison["reference"],
         "results": {m: r.to_dict() for m, r in comparison["reports"].items()},
         "tests": comparison["tests"],
     }
-    doc = _document("compare", asdict(cfgs[0]), body)
+    doc = _document("compare", args, asdict(cfgs[0]), body)
     _emit(doc, args.out)
     _print_metric_table([(m, comparison["reports"][m]) for m in comparison["methods"]])
 

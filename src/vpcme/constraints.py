@@ -19,6 +19,10 @@ DEFAULT_ATTEMPT_FACTOR = 50
 # First sampling step covers this many times the combined targets in
 # attempts; each later step doubles.
 ROUTE_FIRST_STEP = 2
+# weighted_indices' lookup table has about this many buckets per weight, and
+# at most 2^LOOKUP_MAX_BITS + 1 entries (512 KB).
+LOOKUP_BUCKETS_PER_WEIGHT = 8
+LOOKUP_MAX_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -88,10 +92,25 @@ def label_overlap_ratio(labels_i, labels_j):
 
 
 def weighted_indices(weights, uniforms) -> np.ndarray:
-    """Inverse-CDF lookup mapping uniforms in [0, 1) to weighted indices."""
+    """Inverse-CDF lookup mapping uniforms in [0, 1) to weighted indices:
+    ``min(searchsorted(cumsum(weights), u, side="right"), n - 1)``.
+
+    The search is made first at the g + 1 points b / g, with g a power of
+    two, so that b = floor(u * g) is exact. A uniform whose bucket
+    [b / g, (b + 1) / g) holds no cumulative weight takes the bucket's
+    value; only the others are searched, at most about one in
+    ``LOOKUP_BUCKETS_PER_WEIGHT``.
+    """
     cumw = np.cumsum(np.asarray(weights, dtype=np.float64))
-    idx = np.searchsorted(cumw, np.asarray(uniforms, dtype=np.float64), side="right")
-    return np.minimum(idx, len(cumw) - 1)
+    u = np.asarray(uniforms, dtype=np.float64)
+    n = len(cumw)
+    g = 1 << min((LOOKUP_BUCKETS_PER_WEIGHT * n - 1).bit_length(), LOOKUP_MAX_BITS)
+    table = np.searchsorted(cumw, np.arange(g + 1) / g, side="right")
+    b = (u * g).astype(np.intp)
+    idx = table[b]
+    unsure = idx != table[b + 1]
+    idx[unsure] = np.searchsorted(cumw, u[unsure], side="right")
+    return np.minimum(idx, n - 1)
 
 
 def _check_weights(weights, n):
@@ -122,7 +141,8 @@ def sample_constraints(
     Deterministic for a fixed generator state, which ends after the last
     step drawn. A list still short when ``cfg.max_attempts`` run out is
     returned short, possibly empty; the projection step treats empty lists
-    as zero scatter.
+    as zero scatter. Every overlap ratio is at least 0, so at theta 0 no
+    pair can be a cannot-link and none is drawn for that list.
     """
     n = ds.instance_count
     if n < 2:
@@ -130,7 +150,7 @@ def sample_constraints(
     w = _check_weights(weights, n)
     must = [np.empty((0, 2), np.int64)]
     cannot = [np.empty((0, 2), np.int64)]
-    need_must, need_cannot = cfg.target_must, cfg.target_cannot
+    need_must, need_cannot = cfg.target_must, cfg.target_cannot if cfg.theta > 0.0 else 0
     start = 0
     step = max(1, ROUTE_FIRST_STEP * (need_must + need_cannot))
     while start < cfg.max_attempts and (need_must or need_cannot):

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._kernels import parallel_map
 from ._ttable import critical_value
-from .dataset import MultiLabelDataset, kfold_split, load_csv
+from .dataset import MultiLabelDataset, kfold_split
 from .ensemble import VpcmeConfig, predict_ensemble, train_single_mlknn, train_vpcme
 from .errors import ConfigError, ValidationError
 from .metrics import HIGHER_IS_BETTER, METRIC_NAMES, evaluate_all
@@ -30,8 +30,6 @@ DEFAULT_SIZE_VALUES = (1, 10, 20, 30, 40, 50)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    data: str = None
-    label_count: int = None
     method: str = "vpcme"
     theta: float = 0.6
     ensemble_size: int = 30
@@ -145,25 +143,6 @@ def _train_seed(master: int, repeat: int, fold: int) -> int:
     return int(np.random.SeedSequence([master, repeat, fold]).generate_state(1)[0])
 
 
-def _check_fold_capacity(n: int, cfg: ExperimentConfig) -> None:
-    if cfg.folds > n:
-        raise ConfigError(f"cannot split {n} instances into {cfg.folds} folds")
-    min_train = n - math.ceil(n / cfg.folds)
-    if min_train <= cfg.k_neighbors:
-        raise ConfigError(
-            f"training folds of {min_train} instances are too small for "
-            f"k_neighbors={cfg.k_neighbors}"
-        )
-
-
-def _load(cfg: ExperimentConfig, dataset):
-    if dataset is not None:
-        return dataset
-    if cfg.data is None or cfg.label_count is None:
-        raise ConfigError("either a dataset object or data path + label_count is required")
-    return load_csv(cfg.data, cfg.label_count)
-
-
 def train_method(cfg: ExperimentConfig, train_ds: MultiLabelDataset, seed: int):
     """Train ``cfg.method`` on ``train_ds`` with the given member seed.
 
@@ -191,13 +170,16 @@ def train_method(cfg: ExperimentConfig, train_ds: MultiLabelDataset, seed: int):
     return model if scaler is None else replace(model, scaler=scaler)
 
 
-def cross_validate(cfg: ExperimentConfig, dataset: MultiLabelDataset = None) -> EvaluationReport:
+def cross_validate(cfg: ExperimentConfig, dataset: MultiLabelDataset) -> EvaluationReport:
     """Repeated k-fold cross-validation of one method on one dataset."""
-    ds = _load(cfg, dataset)
-    n = ds.instance_count
-    _check_fold_capacity(n, cfg)
-
+    n = dataset.instance_count
     assignments = [kfold_split(n, cfg.folds, cfg.seed + repeat) for repeat in range(cfg.repeats)]
+    min_train = n - math.ceil(n / cfg.folds)
+    if min_train <= cfg.k_neighbors:
+        raise ConfigError(
+            f"training folds of {min_train} instances are too small for "
+            f"k_neighbors={cfg.k_neighbors}"
+        )
     units = [(repeat, fold) for repeat in range(cfg.repeats) for fold in range(cfg.folds)]
 
     def run_unit(unit):
@@ -205,9 +187,9 @@ def cross_validate(cfg: ExperimentConfig, dataset: MultiLabelDataset = None) -> 
         test_idx = assignments[repeat].test_indices(fold)
         train_idx = assignments[repeat].train_indices(fold)
         assert np.intersect1d(train_idx, test_idx).size == 0
-        model = train_method(cfg, ds.subset(train_idx), _train_seed(cfg.seed, repeat, fold))
-        bipartitions, scores = predict_ensemble(model, ds.features[test_idx])
-        return evaluate_all(ds.labels[test_idx], bipartitions, scores)
+        model = train_method(cfg, dataset.subset(train_idx), _train_seed(cfg.seed, repeat, fold))
+        bipartitions, scores = predict_ensemble(model, dataset.features[test_idx])
+        return evaluate_all(dataset.labels[test_idx], bipartitions, scores)
 
     unit_values = {name: [] for name in METRIC_NAMES}
     skipped = {name: 0 for name in METRIC_NAMES}
@@ -232,20 +214,19 @@ def cross_validate(cfg: ExperimentConfig, dataset: MultiLabelDataset = None) -> 
     )
 
 
-def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec, dataset: MultiLabelDataset = None):
+def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec, dataset: MultiLabelDataset):
     """Cross-validate once per sweep value, all other settings fixed."""
-    ds = _load(cfg, dataset)
     results = []
     for value in sweep.values:
         if sweep.parameter == "theta":
             point = replace(cfg, theta=float(value))
         else:
             point = replace(cfg, ensemble_size=int(value))
-        results.append((value, cross_validate(point, ds)))
+        results.append((value, cross_validate(point, dataset)))
     return results
 
 
-def compare_methods(cfgs, dataset: MultiLabelDataset = None) -> dict:
+def compare_methods(cfgs, dataset: MultiLabelDataset) -> dict:
     """Run several methods on identical splits and t-test them pairwise.
 
     The first config is the reference; markers read from its perspective:
@@ -261,15 +242,14 @@ def compare_methods(cfgs, dataset: MultiLabelDataset = None) -> dict:
             raise ConfigError(f"duplicate method {key!r} in comparison")
     head = cfgs[0]
     for other in cfgs[1:]:
-        shared = ("data", "label_count", "folds", "repeats", "seed", "zscore")
+        shared = ("folds", "repeats", "seed", "zscore")
         for name in shared:
             if getattr(other, name) != getattr(head, name):
                 raise ConfigError(
                     f"compared configurations must share {name!r} "
                     f"({getattr(head, name)!r} vs {getattr(other, name)!r})"
                 )
-    ds = _load(head, dataset)
-    reports = {cfg.method: cross_validate(cfg, ds) for cfg in cfgs}
+    reports = {cfg.method: cross_validate(cfg, dataset) for cfg in cfgs}
 
     reference = order[0]
     tests = {}

@@ -187,6 +187,8 @@ class TestCv:
         doc = read_json(out)
         jsonschema.validate(doc, CV_SCHEMA)
         assert doc["config"]["method"] == "vpcme"
+        assert doc["config"]["data"] == data_csv
+        assert doc["config"]["label_count"] == 3
         assert len(doc["units"]["hamming_loss"]) == 6
 
     def test_byte_identical_reruns(self, data_csv, tmp_path):
@@ -242,6 +244,8 @@ class TestSweeps:
         doc = read_json(out)
         jsonschema.validate(doc, SWEEP_SCHEMA)
         assert [row["value"] for row in doc["results"]] == [1, 2]
+        assert doc["config"]["data"] == data_csv
+        assert doc["config"]["label_count"] == 3
 
     def test_bad_values_list(self, data_csv, capsys):
         code = run_cli(
@@ -263,6 +267,8 @@ class TestCompare:
         jsonschema.validate(doc, COMPARE_SCHEMA)
         assert doc["methods"] == ["vpcme", "mlknn_single"]
         assert doc["reference"] == "vpcme"
+        assert doc["config"]["data"] == data_csv
+        assert doc["config"]["label_count"] == 3
         for metric, row in doc["tests"].items():
             assert row["mlknn_single"]["marker"] in ("win", "loss", "tie")
 

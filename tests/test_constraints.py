@@ -71,13 +71,31 @@ def rng_from(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+HEAVY_TAILED = rng_from(1).exponential(size=2000) ** 4
+
+
+class CountingRng:
+    """A generator that counts its ``random`` calls."""
+
+    def __init__(self, seed):
+        self.rng = rng_from(seed)
+        self.calls = 0
+
+    def random(self, size):
+        self.calls += 1
+        return self.rng.random(size)
+
+
 class TestSampleConstraints:
     def test_theta_zero_routes_everything_to_must(self):
+        # no pair can be a cannot-link, so one step fills the must-links
         ds = synthetic_dataset(12, 3, 3, seed=1)
         cfg = ConstraintConfig(theta=0.0, target_must=10, target_cannot=10)
-        sets = sample_constraints(ds, uniform(12), cfg, rng_from(0))
+        rng = CountingRng(0)
+        sets = sample_constraints(ds, uniform(12), cfg, rng)
         assert sets.n_must == 10
         assert sets.n_cannot == 0
+        assert rng.calls == 1
 
     def test_two_disjoint_instances(self):
         ds = MultiLabelDataset(
@@ -142,6 +160,29 @@ class TestSampleConstraints:
         idx = weighted_indices(weights, u)
         freq = np.mean(idx == 3)
         assert freq >= 0.97
+
+    @pytest.mark.parametrize("weights", [
+        pytest.param([0.0, 0.5, 0.0, 0.0, 0.5, 0.0], id="zero-weights"),
+        pytest.param([0.0, 0.0, 1.0, 0.0], id="one-nonzero"),
+        pytest.param(np.full(7, 1e-300), id="tiny-weights"),
+        pytest.param(HEAVY_TAILED / HEAVY_TAILED.sum(), id="heavy-tailed"),
+        pytest.param([0.3, 0.3, 0.4 - 1e-15], id="sum-below-one"),
+        pytest.param([0.3, 0.3, 0.4 + 1e-15], id="sum-above-one"),
+        pytest.param([1.0], id="n1"),
+        pytest.param([0.25, 0.75], id="n2"),
+    ])
+    def test_weighted_indices_match_a_plain_search(self, weights):
+        weights = np.asarray(weights, dtype=np.float64)
+        cumw = np.cumsum(weights)
+        # uniforms at 0, at each cumulative weight and its neighbours, and random
+        u = np.concatenate([
+            [0.0],
+            np.nextafter(cumw, 0.0), cumw, np.nextafter(cumw, 1.0),
+            rng_from(5).random(20_000),
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        expected = np.minimum(np.searchsorted(cumw, u, side="right"), len(cumw) - 1)
+        assert np.array_equal(weighted_indices(weights, u), expected)
 
     def test_degenerate_single_weight_returns_empty(self):
         ds = synthetic_dataset(5, 2, 2, seed=4)

@@ -147,11 +147,6 @@ class TestCrossValidate:
         # feature 1 only matters after rescaling; hamming must improve
         assert scaled.metrics["hamming_loss"].mean < plain.metrics["hamming_loss"].mean
 
-    def test_needs_data_source(self):
-        cfg = ExperimentConfig(method="mlknn_single")
-        with pytest.raises(ConfigError):
-            cross_validate(cfg)
-
     def test_empty_label_sets_flow_through(self):
         # a sprinkle of unlabeled instances must only show up as skip counts
         rng = np.random.Generator(np.random.PCG64(42))
