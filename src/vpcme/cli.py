@@ -7,10 +7,11 @@ stderr only.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import __version__
 from .dataset import compute_stats, format_rows, load_csv, load_features
@@ -35,18 +36,19 @@ def _add_common(parser, method=True, protocol=True):
     parser.add_argument("--data", required=True, help="dataset CSV path")
     parser.add_argument("--labels", required=True, type=int,
                         help="number of trailing label columns")
+    # each sets the ExperimentConfig field of its dest; absent, the field keeps its default
+    config_flag = functools.partial(parser.add_argument, default=argparse.SUPPRESS)
     if method:
-        parser.add_argument("--method", default="vpcme", help=f"one of {', '.join(METHODS)}")
-    parser.add_argument("--theta", type=float, default=0.6, help="constraint threshold")
-    parser.add_argument("--ensemble-size", type=int, default=30, dest="ensemble_size")
-    parser.add_argument("--k", type=int, default=10, help="MLKNN neighbor count")
-    parser.add_argument("--smoothing", type=float, default=1.0, help="MLKNN Laplace smoothing")
+        config_flag("--method", help=f"one of {', '.join(METHODS)}")
+    config_flag("--theta", type=float, help="constraint threshold")
+    config_flag("--ensemble-size", type=int, dest="ensemble_size")
+    config_flag("--k", type=int, dest="k_neighbors", metavar="K", help="MLKNN neighbor count")
+    config_flag("--smoothing", type=float, help="MLKNN Laplace smoothing")
     if protocol:  # cross-validation only
-        parser.add_argument("--folds", type=int, default=5)
-        parser.add_argument("--repeats", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--zscore", action="store_true",
-                        help="standardize features per training fold")
+        config_flag("--folds", type=int)
+        config_flag("--repeats", type=int)
+    config_flag("--seed", type=int)
+    config_flag("--zscore", action="store_true", help="standardize features per training fold")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
@@ -98,18 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiment_config(args, method=None) -> ExperimentConfig:
-    protocol = {"folds": args.folds, "repeats": args.repeats} if "folds" in args else {}
-    return ExperimentConfig(
-        method=method if method is not None else args.method,
-        theta=args.theta,
-        ensemble_size=args.ensemble_size,
-        k_neighbors=args.k,
-        smoothing=args.smoothing,
-        seed=args.seed,
-        zscore=args.zscore,
-        **protocol,
-    )
+def _experiment_config(args, **overrides) -> ExperimentConfig:
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if f.name in args}
+    return ExperimentConfig(**{**given, **overrides})
 
 
 def _document(command: str, args, config: dict, body: dict) -> dict:
@@ -165,24 +158,8 @@ def _parse_values(raw, parameter):
 
 
 def _cmd_stats(args):
-    ds = load_csv(args.data, args.labels)
-    stats = compute_stats(ds)
-    doc = _document(
-        "stats",
-        args,
-        {},
-        {
-            "stats": {
-                "instances": stats.instances,
-                "features": stats.features,
-                "labels": stats.labels,
-                "distinct": stats.distinct,
-                "cardinality": stats.cardinality,
-                "density": stats.density,
-            }
-        },
-    )
-    _emit(doc, args.out)
+    stats = compute_stats(load_csv(args.data, args.labels))
+    _emit(_document("stats", args, {}, {"stats": asdict(stats)}), args.out)
 
 
 def _cmd_cv(args):

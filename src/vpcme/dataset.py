@@ -150,8 +150,8 @@ def _parse_lines(path, lines, width, feature_count):
 
 def load_csv(path, label_count: int) -> MultiLabelDataset:
     """Parse a dense CSV whose trailing ``label_count`` columns are 0/1 labels."""
-    if label_count < 1:
-        raise ConfigError("label_count must be a positive integer")
+    if label_count < 2:
+        raise ValidationError("dataset needs at least two label columns")
     return MultiLabelDataset(*load_features(path, label_count))
 
 

@@ -9,6 +9,8 @@ stay uniform, which is the bagging-style baseline.
 """
 
 import json
+import math
+import operator
 import zipfile
 from dataclasses import asdict, dataclass, replace
 
@@ -18,7 +20,14 @@ from ._kernels import one_blas_thread, parallel_map
 from .constraints import ConstraintConfig, sample_constraints
 from .dataset import MultiLabelDataset
 from .errors import ConfigError, ValidationError
-from .mlknn import MlknnModel, fit_mlknn, posterior_scores, predict_bipartition
+from .mlknn import (
+    DEFAULT_K,
+    DEFAULT_SMOOTHING,
+    MlknnModel,
+    fit_mlknn,
+    posterior_scores,
+    predict_bipartition,
+)
 from .projection import ProjectionModel, fit_projection, transform
 
 MODEL_FORMAT = "vpcme-model/2"
@@ -27,18 +36,31 @@ MODEL_FORMAT_1 = "vpcme-model/1"  # still read: per-member points, labels, k and
 
 @dataclass(frozen=True)
 class VpcmeConfig:
+    """The member settings of one ensemble, each checked when built;
+    ``ensemble_size``, ``k_neighbors`` and ``seed`` are stored as ``int``."""
+
     ensemble_size: int = 30
     theta: float = 0.6
-    k_neighbors: int = 10
-    smoothing: float = 1.0
+    k_neighbors: int = DEFAULT_K
+    smoothing: float = DEFAULT_SMOOTHING
     seed: int = 0
     boosting_enabled: bool = True
 
     def __post_init__(self):
+        for name in ("ensemble_size", "k_neighbors", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value}") from None
         if self.ensemble_size < 1:
             raise ConfigError("ensemble_size must be at least 1")
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
+        if self.k_neighbors < 1:
+            raise ConfigError("k_neighbors must be at least 1")
+        if not (math.isfinite(self.smoothing) and self.smoothing > 0.0):
+            raise ConfigError(f"smoothing must be finite and positive, got {self.smoothing}")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
 

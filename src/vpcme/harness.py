@@ -10,7 +10,7 @@ results are gathered in unit order.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -31,32 +31,34 @@ DEFAULT_SIZE_VALUES = (1, 10, 20, 30, 40, 50)
 @dataclass(frozen=True)
 class ExperimentConfig:
     method: str = "vpcme"
-    theta: float = 0.6
-    ensemble_size: int = 30
-    k_neighbors: int = 10
-    smoothing: float = 1.0
+    theta: float = VpcmeConfig.theta
+    ensemble_size: int = VpcmeConfig.ensemble_size
+    k_neighbors: int = VpcmeConfig.k_neighbors
+    smoothing: float = VpcmeConfig.smoothing
     folds: int = 5
     repeats: int = 20
-    seed: int = 0
+    seed: int = VpcmeConfig.seed
     zscore: bool = False
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.folds < 2:
             raise ConfigError("folds must be at least 2")
         if self.repeats < 1:
             raise ConfigError("repeats must be at least 1")
-        if self.ensemble_size < 1:
-            raise ConfigError("ensemble_size must be at least 1")
-        if self.k_neighbors < 1:
-            raise ConfigError("k_neighbors must be at least 1")
-        if not (math.isfinite(self.smoothing) and self.smoothing > 0.0):
-            raise ConfigError(f"smoothing must be finite and positive, got {self.smoothing}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
+        self.member_config(self.seed)  # the member settings' own checks
+
+    def member_config(self, seed: int) -> VpcmeConfig:
+        """The :class:`VpcmeConfig` this method's members train with."""
+        return VpcmeConfig(
+            ensemble_size=self.ensemble_size,
+            theta=self.theta,
+            k_neighbors=self.k_neighbors,
+            smoothing=self.smoothing,
+            seed=seed,
+            boosting_enabled=self.method == "vpcme",
+        )
 
 
 @dataclass(frozen=True)
@@ -99,10 +101,7 @@ class EvaluationReport:
 
     def to_dict(self) -> dict:
         return {
-            "metrics": {
-                name: {"mean": s.mean, "std": s.std, "skipped": s.skipped}
-                for name, s in self.metrics.items()
-            },
+            "metrics": {name: asdict(s) for name, s in self.metrics.items()},
             "units": {name: list(vals) for name, vals in self.unit_values.items()},
             "protocol": dict(self.protocol),
         }
@@ -158,15 +157,7 @@ def train_method(cfg: ExperimentConfig, train_ds: MultiLabelDataset, seed: int):
         train_ds = MultiLabelDataset((train_ds.features - mean) / scale, train_ds.labels)
         scaler = (mean, scale)
     trainer = train_single_mlknn if cfg.method == "mlknn_single" else train_vpcme
-    vpcme_cfg = VpcmeConfig(
-        ensemble_size=cfg.ensemble_size,
-        theta=cfg.theta,
-        k_neighbors=cfg.k_neighbors,
-        smoothing=cfg.smoothing,
-        seed=seed,
-        boosting_enabled=cfg.method == "vpcme",
-    )
-    model = trainer(train_ds, vpcme_cfg)
+    model = trainer(train_ds, cfg.member_config(seed))
     return model if scaler is None else replace(model, scaler=scaler)
 
 
@@ -269,12 +260,7 @@ def compare_methods(cfgs, dataset: MultiLabelDataset) -> dict:
                     else ref_vals.mean() < other_vals.mean()
                 )
                 marker = "win" if ref_better else "loss"
-            tests[name][key] = {
-                "t": result.t,
-                "df": result.df,
-                "significant": result.significant,
-                "marker": marker,
-            }
+            tests[name][key] = {**result._asdict(), "marker": marker}
     return {
         "methods": order,
         "reference": reference,

@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import jsonschema
@@ -207,6 +207,19 @@ class TestCv:
         assert header.split()[:3] == ["run", "hamming_loss", "ranking_loss"]
         assert row.startswith("vpcme ")
         assert finished.startswith("cv finished in ")
+
+    @pytest.mark.parametrize("flags, fields", [
+        ((), {}),
+        (("--k", "7", "--smoothing", "0.5", "--theta", "0.4", "--seed", "3", "--zscore"),
+         {"k_neighbors": 7, "smoothing": 0.5, "theta": 0.4, "seed": 3, "zscore": True}),
+        (("--method", "mlknn_single"), {"method": "mlknn_single"}),
+    ], ids=["defaults", "member-flags", "method"])
+    def test_absent_flags_leave_the_config_defaults(self, data_csv, tmp_path, flags, fields):
+        out = str(tmp_path / "cv.json")
+        assert run_cli("cv", "--data", data_csv, "--labels", "3", "--folds", "2", "--repeats", "1",
+                       "--ensemble-size", "1", *flags, "--out", out) == 0
+        cfg = replace(ExperimentConfig(), folds=2, repeats=1, ensemble_size=1, **fields)
+        assert read_json(out)["config"] == {"data": data_csv, "label_count": 3, **asdict(cfg)}
 
     def test_bad_method_exits_nonzero(self, data_csv, capsys):
         code = run_cli("cv", "--data", data_csv, "--labels", "3", "--method", "xgboost")
@@ -480,6 +493,15 @@ class TestEntryPoint:
             with open(out, "rb") as handle:
                 outs.append(handle.read())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "command", ["stats", "cv", "sweep-theta", "sweep-size", "compare", "train", "predict"]
+    )
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: vpcme {command}")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

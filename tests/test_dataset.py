@@ -80,6 +80,11 @@ class TestLoadCsv:
         with pytest.raises(ValidationError):
             load_csv(path, label_count=1)
 
+    @pytest.mark.parametrize("label_count", [0, 1])
+    def test_too_few_label_columns_rejected_before_the_file_is_read(self, tmp_path, label_count):
+        with pytest.raises(ValidationError, match="^dataset needs at least two label columns$"):
+            load_csv(str(tmp_path / "missing.csv"), label_count=label_count)
+
     def test_round_trip_identity(self, tmp_path):
         ds = synthetic_dataset(25, 5, 3, seed=11)
         path = str(tmp_path / "rt.csv")

@@ -42,10 +42,31 @@ def drop_last_label_of_m1(arrays):
     ({"theta": -0.1}, "theta must lie in [0, 1], got -0.1"),
     ({"theta": 1.5}, "theta must lie in [0, 1], got 1.5"),
     ({"seed": -1}, "seed must be a non-negative integer"),
+    ({"k_neighbors": 0}, "k_neighbors must be at least 1"),
+    ({"smoothing": 0.0}, "smoothing must be finite and positive, got 0.0"),
+    ({"smoothing": -1.0}, "smoothing must be finite and positive, got -1.0"),
+    ({"smoothing": float("nan")}, "smoothing must be finite and positive, got nan"),
+    ({"smoothing": float("inf")}, "smoothing must be finite and positive, got inf"),
+    ({"k_neighbors": 2.5}, "k_neighbors must be an integer, got 2.5"),
+    ({"ensemble_size": 2.0}, "ensemble_size must be an integer, got 2.0"),
 ])
 def test_config_range_checks(overrides, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         VpcmeConfig(**overrides)
+
+
+def test_numpy_integer_settings_become_int_and_survive_a_round_trip(tmp_path):
+    cfg = quick_cfg(ensemble_size=np.int64(2), k_neighbors=np.int32(5), seed=np.uint32(7))
+    assert all(type(getattr(cfg, name)) is int for name in ("ensemble_size", "k_neighbors", "seed"))
+    assert cfg == quick_cfg(ensemble_size=2)
+    model = train_vpcme(small_dataset(), cfg)
+    path = str(tmp_path / "model.npz")
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.config == cfg
+    x = small_dataset(seed=1).features
+    for want, got in zip(predict_ensemble(model, x), predict_ensemble(loaded, x)):
+        assert np.array_equal(want, got)
 
 
 class TestTraining:

@@ -8,6 +8,7 @@ from scipy import stats as scipy_stats
 from vpcme import harness
 from vpcme._ttable import CRITICAL_001, NORMAL_QUANTILE_0995, critical_value
 from vpcme.dataset import MultiLabelDataset, synthetic_dataset
+from vpcme.ensemble import VpcmeConfig
 from vpcme.errors import ConfigError, ValidationError
 from vpcme.harness import (
     EvaluationReport,
@@ -89,10 +90,30 @@ class TestCriticalTable:
     ({"smoothing": -1.0}, "smoothing must be finite and positive, got -1.0"),
     ({"smoothing": math.nan}, "smoothing must be finite and positive, got nan"),
     ({"smoothing": math.inf}, "smoothing must be finite and positive, got inf"),
+    ({"method": "xgboost"}, f"method must be one of {harness.METHODS}, got 'xgboost'"),
+    ({"theta": 1.5}, "theta must lie in [0, 1], got 1.5"),
+    ({"ensemble_size": 0}, "ensemble_size must be at least 1"),
+    ({"seed": -1}, "seed must be a non-negative integer"),
+    ({"k_neighbors": 2.5}, "k_neighbors must be an integer, got 2.5"),
 ])
 def test_experiment_config_range_checks(overrides, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         ExperimentConfig(**overrides)
+
+
+def test_member_defaults_come_from_the_member_config():
+    cfg = ExperimentConfig()
+    assert cfg.member_config(cfg.seed) == VpcmeConfig()
+    assert ExperimentConfig(method="bagging_vpcp").member_config(3) == VpcmeConfig(
+        seed=3, boosting_enabled=False
+    )
+
+
+@pytest.mark.parametrize("method", ["vpcme", "bagging_vpcp"])
+def test_train_method_trains_with_the_member_config(method):
+    cfg = ExperimentConfig(method=method, theta=0.4, ensemble_size=2, k_neighbors=4, smoothing=0.5)
+    ds = synthetic_dataset(30, 3, 3, seed=5, label_noise=0.1)
+    assert harness.train_method(cfg, ds, 11).config == cfg.member_config(11)
 
 
 class TestCrossValidate:
