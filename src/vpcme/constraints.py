@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import MultiLabelDataset
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, checked_int
 
 DEFAULT_ATTEMPT_FACTOR = 50
 # First sampling step covers this many times the combined targets in
@@ -35,16 +35,11 @@ class ConstraintConfig:
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.target_must < 0 or self.target_cannot < 0:
-            raise ConfigError("constraint targets must be non-negative")
-        if self.max_attempts is None:
-            object.__setattr__(
-                self,
-                "max_attempts",
-                DEFAULT_ATTEMPT_FACTOR * (self.target_must + self.target_cannot),
-            )
-        elif self.max_attempts < self.target_must + self.target_cannot:
-            raise ConfigError("max_attempts must cover at least target_must + target_cannot draws")
+        for name in ("target_must", "target_cannot"):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), 0))
+        targets = self.target_must + self.target_cannot
+        attempts = DEFAULT_ATTEMPT_FACTOR * targets if self.max_attempts is None else self.max_attempts
+        object.__setattr__(self, "max_attempts", checked_int("max_attempts", attempts, targets))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CsvFormatError, ValidationError
+from .errors import ConfigError, CsvFormatError, ValidationError, checked_int
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,7 @@ def load_features(path, label_count: int = 0):
     before them must be finite numbers. A malformed file raises
     ``CsvFormatError`` naming its first bad line.
     """
-    if label_count < 0:
-        raise ConfigError("label_count must be a non-negative integer")
+    label_count = checked_int("label_count", label_count, 0)
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     lines = text.split("\n")
@@ -188,8 +187,7 @@ def compute_stats(ds: MultiLabelDataset) -> DatasetStats:
 
 def kfold_split(n: int, folds: int, seed: int) -> FoldAssignment:
     """Deterministic shuffle-then-deal split; fold sizes differ by at most 1."""
-    if folds < 2:
-        raise ConfigError(f"folds must be at least 2, got {folds}")
+    n, folds, seed = checked_int("n", n, 0), checked_int("folds", folds, 2), checked_int("seed", seed, 0)
     if folds > n:
         raise ConfigError(f"cannot split {n} instances into {folds} folds")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -215,8 +213,8 @@ def synthetic_dataset(
     correlated but distinct. ``label_noise`` flips each label entry
     independently with that probability.
     """
-    if n < 1 or features < 1 or labels < 2:
-        raise ConfigError("synthetic_dataset needs n >= 1, features >= 1, labels >= 2")
+    n, features = checked_int("n", n, 1), checked_int("features", features, 1)
+    labels, seed = checked_int("labels", labels, 2), checked_int("seed", seed, 0)
     if not 0.0 <= label_noise <= 1.0 or not 0.0 <= label_correlation <= 1.0:
         raise ConfigError("label_noise and label_correlation must lie in [0, 1]")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -10,7 +10,6 @@ stay uniform, which is the bagging-style baseline.
 
 import json
 import math
-import operator
 import zipfile
 from dataclasses import asdict, dataclass, replace
 
@@ -19,7 +18,7 @@ import numpy as np
 from ._kernels import one_blas_thread, parallel_map
 from .constraints import ConstraintConfig, sample_constraints
 from .dataset import MultiLabelDataset
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, checked_int
 from .mlknn import (
     DEFAULT_K,
     DEFAULT_SMOOTHING,
@@ -47,22 +46,12 @@ class VpcmeConfig:
     boosting_enabled: bool = True
 
     def __post_init__(self):
-        for name in ("ensemble_size", "k_neighbors", "seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {value}") from None
-        if self.ensemble_size < 1:
-            raise ConfigError("ensemble_size must be at least 1")
+        for name, minimum in (("ensemble_size", 1), ("k_neighbors", 1), ("seed", 0)):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), minimum))
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.k_neighbors < 1:
-            raise ConfigError("k_neighbors must be at least 1")
         if not (math.isfinite(self.smoothing) and self.smoothing > 0.0):
             raise ConfigError(f"smoothing must be finite and positive, got {self.smoothing}")
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)

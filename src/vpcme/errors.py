@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer-argument check."""
+
+import operator
 
 
 class VpcmeError(Exception):
@@ -19,3 +21,21 @@ class ValidationError(VpcmeError):
 
 class UndefinedMetricError(VpcmeError):
     """A metric has no defined value for the given inputs (e.g. zero instances)."""
+
+
+def checked_int(name, value, minimum):
+    """``value`` as an ``int`` of at least ``minimum``, else ``ConfigError``.
+
+    Python and numpy integers pass; bools and floats (``2.0``, NaN and the
+    infinities included) do not.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value}") from None
+    if number < minimum:
+        rule = f"at least {minimum}" if minimum else "a non-negative integer"
+        raise ConfigError(f"{name} must be {rule}")
+    return number

@@ -19,7 +19,7 @@ from ._kernels import parallel_map
 from ._ttable import critical_value
 from .dataset import MultiLabelDataset, kfold_split
 from .ensemble import VpcmeConfig, predict_ensemble, train_single_mlknn, train_vpcme
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, checked_int
 from .metrics import HIGHER_IS_BETTER, METRIC_NAMES, evaluate_all
 
 METHODS = ("vpcme", "bagging_vpcp", "mlknn_single")
@@ -43,11 +43,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.folds < 2:
-            raise ConfigError("folds must be at least 2")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be at least 1")
-        self.member_config(self.seed)  # the member settings' own checks
+        for name, minimum in (("folds", 2), ("repeats", 1)):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), minimum))
+        member = self.member_config(self.seed)  # the member settings' own checks
+        for name in ("ensemble_size", "k_neighbors", "seed"):  # stored as the member config stores them
+            object.__setattr__(self, name, getattr(member, name))
 
     def member_config(self, seed: int) -> VpcmeConfig:
         """The :class:`VpcmeConfig` this method's members train with."""
@@ -75,11 +75,10 @@ class SweepSpec:
         values = tuple(values)
         if not values:
             raise ConfigError("sweep needs at least one value")
-        for v in values:
-            if self.parameter == "theta" and not 0.0 <= v <= 1.0:
-                raise ConfigError(f"theta sweep value {v} outside [0, 1]")
-            if self.parameter == "ensemble_size" and (int(v) != v or v < 1):
-                raise ConfigError(f"ensemble size sweep value {v} must be a positive integer")
+        if self.parameter == "ensemble_size":
+            values = tuple(checked_int("ensemble_size sweep value", v, 1) for v in values)
+        elif outside := [v for v in values if not 0.0 <= v <= 1.0]:
+            raise ConfigError(f"theta sweep value {outside[0]} outside [0, 1]")
         object.__setattr__(self, "values", values)
 
 
@@ -212,7 +211,7 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec, dataset: MultiLabelDatase
         if sweep.parameter == "theta":
             point = replace(cfg, theta=float(value))
         else:
-            point = replace(cfg, ensemble_size=int(value))
+            point = replace(cfg, ensemble_size=value)
         results.append((value, cross_validate(point, dataset)))
     return results
 

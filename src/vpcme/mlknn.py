@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, checked_int
 
 DEFAULT_K = 10
 DEFAULT_SMOOTHING = 1.0
@@ -90,15 +90,13 @@ def fit_mlknn(points, labels, k_neighbors: int = DEFAULT_K,
     n = points.shape[0]
     r = labels.shape[1]
     s = float(smoothing)
-    k = int(k_neighbors)
+    k = checked_int("k_neighbors", k_neighbors, 1)
     if labels.shape[0] != n:
         raise ValidationError("points and labels row counts differ")
     if n < 2:
         raise ConfigError("fitting needs at least 2 instances")
     if k >= n:
         raise ConfigError(f"k_neighbors={k} must be smaller than the instance count {n}")
-    if k < 1:
-        raise ConfigError("k_neighbors must be at least 1")
     if not (math.isfinite(s) and s > 0.0):
         raise ConfigError(f"smoothing must be finite and positive, got {s}")
 
