@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import MultiLabelDataset
-from .errors import ConfigError, ValidationError, checked_int
+from .errors import ConfigError, ValidationError, checked_float, checked_int
 
 DEFAULT_ATTEMPT_FACTOR = 50
 # First sampling step covers this many times the combined targets in
@@ -33,6 +33,7 @@ class ConstraintConfig:
     max_attempts: int = None
 
     def __post_init__(self):
+        object.__setattr__(self, "theta", checked_float("theta", self.theta))
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         for name in ("target_must", "target_cannot"):

@@ -149,7 +149,7 @@ def _parse_lines(path, lines, width, feature_count):
 
 def load_csv(path, label_count: int) -> MultiLabelDataset:
     """Parse a dense CSV whose trailing ``label_count`` columns are 0/1 labels."""
-    if label_count < 2:
+    if checked_int("label_count", label_count, 0) < 2:
         raise ValidationError("dataset needs at least two label columns")
     return MultiLabelDataset(*load_features(path, label_count))
 

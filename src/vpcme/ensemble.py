@@ -18,7 +18,7 @@ import numpy as np
 from ._kernels import one_blas_thread, parallel_map
 from .constraints import ConstraintConfig, sample_constraints
 from .dataset import MultiLabelDataset
-from .errors import ConfigError, ValidationError, checked_int
+from .errors import ConfigError, ValidationError, checked_float, checked_int
 from .mlknn import (
     DEFAULT_K,
     DEFAULT_SMOOTHING,
@@ -30,13 +30,12 @@ from .mlknn import (
 from .projection import ProjectionModel, fit_projection, transform
 
 MODEL_FORMAT = "vpcme-model/2"
-MODEL_FORMAT_1 = "vpcme-model/1"  # still read: per-member points, labels, k and smoothing
 
 
 @dataclass(frozen=True)
 class VpcmeConfig:
-    """The member settings of one ensemble, each checked when built;
-    ``ensemble_size``, ``k_neighbors`` and ``seed`` are stored as ``int``."""
+    """The member settings of one ensemble, each checked when built; the
+    counts and seed are stored as ``int``, theta and smoothing as ``float``."""
 
     ensemble_size: int = 30
     theta: float = 0.6
@@ -48,6 +47,8 @@ class VpcmeConfig:
     def __post_init__(self):
         for name, minimum in (("ensemble_size", 1), ("k_neighbors", 1), ("seed", 0)):
             object.__setattr__(self, name, checked_int(name, getattr(self, name), minimum))
+        for name in ("theta", "smoothing"):
+            object.__setattr__(self, name, checked_float(name, getattr(self, name)))
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         if not (math.isfinite(self.smoothing) and self.smoothing > 0.0):
@@ -63,15 +64,14 @@ class VpcmeModel:
     :func:`predict_ensemble` applies to every query, ``(x - mean) / scale``,
     because the members were trained on features standardized that way.
     ``features`` holds the training rows as the members saw them (after any
-    scaler), which each member's classifier holds projected through its W;
-    it is None only for a model read from a ``vpcme-model/1`` file.
+    scaler), which each member's classifier holds projected through its W.
     """
 
     members: tuple
     config: VpcmeConfig
     training_log: tuple
+    features: np.ndarray
     scaler: tuple | None = None
-    features: np.ndarray | None = None
 
     def __post_init__(self):
         members, cfg = tuple(self.members), self.config
@@ -101,12 +101,11 @@ class VpcmeModel:
             mean.setflags(write=False)
             scale.setflags(write=False)
             object.__setattr__(self, "scaler", (mean, scale))
-        if self.features is not None:
-            features = np.ascontiguousarray(self.features, dtype=np.float64)
-            if features.shape != (first_classifier.train_points.shape[0], first_proj.input_dim):
-                raise ValidationError("features must have one row per training row and one per input")
-            features.setflags(write=False)
-            object.__setattr__(self, "features", features)
+        features = np.ascontiguousarray(self.features, dtype=np.float64)
+        if features.shape != (first_classifier.train_points.shape[0], first_proj.input_dim):
+            raise ValidationError("features must have one row per training row and one per input")
+        features.setflags(write=False)
+        object.__setattr__(self, "features", features)
 
     @property
     def feature_count(self) -> int:
@@ -218,8 +217,6 @@ def save_model(model: VpcmeModel, path) -> None:
     """Write a ``vpcme-model/2`` archive, which predicts bit-exactly once loaded:
     the training features and labels once, and each member's projection and
     MLKNN tables."""
-    if model.features is None:
-        raise ValidationError(f"a model without its training features cannot be saved as {MODEL_FORMAT}")
     payload = {
         "format": MODEL_FORMAT,
         "config": json.dumps(asdict(model.config), sort_keys=True),
@@ -245,36 +242,32 @@ def load_model(path):
     """Inverse of :func:`save_model`; returns the :class:`VpcmeModel`.
 
     Each member's training points are rebuilt as ``transform(proj, features)``
-    at one BLAS thread, the bits training computed; a ``vpcme-model/1`` file
-    stores them instead, and gives a model without ``features``. A file that
-    is not a vpcme model, lacks one of its arrays, or holds one that does not
-    decode or that the model types reject (a shape that disagrees with the
-    rest of the model, say) raises ``ValidationError`` naming it.
+    at one BLAS thread, the bits training computed. A file that is not a
+    ``vpcme-model/2`` archive (one in an older layout included), lacks one
+    of its arrays, or holds one that does not decode or that the model types
+    reject (a shape at odds with the rest of the model, say) raises
+    ``ValidationError`` naming it.
     """
+    bad = f"{path}: not a {MODEL_FORMAT} model file"
     try:
         data = np.load(path, allow_pickle=False)
     except (ValueError, EOFError, zipfile.BadZipFile):
         data = None
     if not isinstance(data, np.lib.npyio.NpzFile):
-        raise ValidationError(f"{path}: not a {MODEL_FORMAT} model file")
+        raise ValidationError(bad)
     with data, one_blas_thread():
-        fmt = str(data["format"]) if "format" in data else None
-        if fmt not in (MODEL_FORMAT, MODEL_FORMAT_1):
-            raise ValidationError(f"{path}: not a {MODEL_FORMAT} model file")
+        if "format" not in data or str(data["format"]) != MODEL_FORMAT:
+            raise ValidationError(bad)
 
         def read(key):
             if key not in data:
                 raise KeyError(key)
             return data[key]
 
-        # a config that is not JSON or names an unknown field, or an array of
-        # the wrong type or shape, raises one of these while decoding or in
-        # the model types' checks
+        # a non-JSON or unknown-field config, or an array of the wrong type or
+        # shape, raises one of these while decoding or in the model types' checks
         try:
-            fields = dict(json.loads(str(read("config"))))
-            if fmt == MODEL_FORMAT_1:  # the pair targets only steered training
-                fields = {key: fields[key] for key in fields.keys() - {"n_must", "n_cannot"}}
-            cfg = VpcmeConfig(**fields)
+            cfg = VpcmeConfig(**json.loads(str(read("config"))))
             members, features = [], None
             for i in range(int(read("member_count"))):
                 proj = ProjectionModel(
@@ -282,23 +275,18 @@ def load_model(path):
                     eigenvalues=read(f"m{i}_eigenvalues"),
                     scaling_r=float(read(f"m{i}_scaling_r")),
                 )
-                if fmt == MODEL_FORMAT_1:
-                    points, labels = read(f"m{i}_train_points"), read(f"m{i}_train_labels")
-                    k, smoothing = int(read(f"m{i}_k_neighbors")), float(read(f"m{i}_smoothing"))
-                else:
-                    if features is None:
-                        features, labels = read("features"), read("labels")
-                        if len(features) != len(labels):
-                            raise ValueError("'features' and 'labels' row counts differ")
-                    points, k, smoothing = transform(proj, features), cfg.k_neighbors, cfg.smoothing
+                if features is None:  # after member 0's projection: a bare archive names m0_w
+                    features, labels = read("features"), read("labels")
+                    if len(features) != len(labels):
+                        raise ValueError("'features' and 'labels' row counts differ")
+                points = transform(proj, features)
                 tables = (read(f"m{i}_{name}") for name in ("prior_pos", "freq_pos", "freq_neg"))
-                members.append((proj, MlknnModel(k, smoothing, points, labels, *tables)))
+                members.append((proj, MlknnModel(cfg.k_neighbors, cfg.smoothing, points, labels, *tables)))
             log = [(float(e), int(d), int(m), int(c)) for e, d, m, c in read("training_log")]
-            scaler = None
-            if "scaler_mean" in data or "scaler_scale" in data:
-                scaler = (read("scaler_mean"), read("scaler_scale"))
-            return VpcmeModel(tuple(members), cfg, log, scaler, features)
+            has_scaler = "scaler_mean" in data or "scaler_scale" in data
+            scaler = (read("scaler_mean"), read("scaler_scale")) if has_scaler else None
+            return VpcmeModel(tuple(members), cfg, log, features, scaler)
         except KeyError as exc:
-            raise ValidationError(f"{path}: not a {fmt} model file, no {exc.args[0]!r} array") from None
+            raise ValidationError(f"{bad}, no {exc.args[0]!r} array") from None
         except (ValidationError, ValueError, TypeError, IndexError) as exc:
-            raise ValidationError(f"{path}: not a {fmt} model file: {exc}") from exc
+            raise ValidationError(f"{bad}: {exc}") from exc

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one integer-argument check."""
+"""Exception types shared across the package, and the integer- and float-argument checks."""
 
+import numbers
 import operator
 
 
@@ -39,3 +40,12 @@ def checked_int(name, value, minimum):
         rule = f"at least {minimum}" if minimum else "a non-negative integer"
         raise ConfigError(f"{name} must be {rule}")
     return number
+
+
+def checked_float(name, value):
+    """``value`` as a ``float``, else ``ConfigError``. Python and numpy reals
+    pass, NaN and the infinities included (range rules stay with the caller);
+    strings, None and bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)

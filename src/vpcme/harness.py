@@ -19,7 +19,7 @@ from ._kernels import parallel_map
 from ._ttable import critical_value
 from .dataset import MultiLabelDataset, kfold_split
 from .ensemble import VpcmeConfig, predict_ensemble, train_single_mlknn, train_vpcme
-from .errors import ConfigError, ValidationError, checked_int
+from .errors import ConfigError, ValidationError, checked_float, checked_int
 from .metrics import HIGHER_IS_BETTER, METRIC_NAMES, evaluate_all
 
 METHODS = ("vpcme", "bagging_vpcp", "mlknn_single")
@@ -46,8 +46,8 @@ class ExperimentConfig:
         for name, minimum in (("folds", 2), ("repeats", 1)):
             object.__setattr__(self, name, checked_int(name, getattr(self, name), minimum))
         member = self.member_config(self.seed)  # the member settings' own checks
-        for name in ("ensemble_size", "k_neighbors", "seed"):  # stored as the member config stores them
-            object.__setattr__(self, name, getattr(member, name))
+        for name in ("ensemble_size", "theta", "k_neighbors", "smoothing", "seed"):
+            object.__setattr__(self, name, getattr(member, name))  # as the member config stores it
 
     def member_config(self, seed: int) -> VpcmeConfig:
         """The :class:`VpcmeConfig` this method's members train with."""
@@ -77,8 +77,10 @@ class SweepSpec:
             raise ConfigError("sweep needs at least one value")
         if self.parameter == "ensemble_size":
             values = tuple(checked_int("ensemble_size sweep value", v, 1) for v in values)
-        elif outside := [v for v in values if not 0.0 <= v <= 1.0]:
-            raise ConfigError(f"theta sweep value {outside[0]} outside [0, 1]")
+        else:
+            values = tuple(checked_float("theta sweep value", v) for v in values)
+            if outside := [v for v in values if not 0.0 <= v <= 1.0]:
+                raise ConfigError(f"theta sweep value {outside[0]} outside [0, 1]")
         object.__setattr__(self, "values", values)
 
 
@@ -208,10 +210,7 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec, dataset: MultiLabelDatase
     """Cross-validate once per sweep value, all other settings fixed."""
     results = []
     for value in sweep.values:
-        if sweep.parameter == "theta":
-            point = replace(cfg, theta=float(value))
-        else:
-            point = replace(cfg, ensemble_size=value)
+        point = replace(cfg, **{sweep.parameter: value})
         results.append((value, cross_validate(point, dataset)))
     return results
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, ValidationError, checked_int
+from .errors import ConfigError, ValidationError, checked_float, checked_int
 
 DEFAULT_K = 10
 DEFAULT_SMOOTHING = 1.0
@@ -89,7 +89,7 @@ def fit_mlknn(points, labels, k_neighbors: int = DEFAULT_K,
     labels = np.ascontiguousarray(labels, dtype=bool)
     n = points.shape[0]
     r = labels.shape[1]
-    s = float(smoothing)
+    s = checked_float("smoothing", smoothing)
     k = checked_int("k_neighbors", k_neighbors, 1)
     if labels.shape[0] != n:
         raise ValidationError("points and labels row counts differ")

@@ -1,7 +1,9 @@
 """Count, size and seed arguments follow one rule at every public entry point:
 a Python or numpy integer of at least the entry's minimum, stored as
-``int``; bools and floats (integral ones, NaN and the infinities included)
-raise ``ConfigError``."""
+``int``; bools, strings, None and floats (integral ones, NaN and the
+infinities included) raise ``ConfigError``. Threshold and smoothing
+arguments follow another: a Python or numpy real in the entry's range,
+stored as ``float``; bools, strings and None raise ``ConfigError``."""
 
 import json
 import math
@@ -10,7 +12,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vpcme import (
@@ -24,7 +26,7 @@ from vpcme import (
     load_features,
     synthetic_dataset,
 )
-from vpcme.errors import ConfigError, ValidationError, checked_int
+from vpcme.errors import ConfigError, ValidationError, checked_float, checked_int
 
 POINTS = np.arange(16, dtype=np.float64).reshape(8, 2) ** 1.5
 LABELS = np.array([[i % 2 == 0, i % 3 == 0] for i in range(8)])
@@ -73,16 +75,18 @@ VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.booleans(),
+    st.sampled_from(["3", "", None]),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(entry=st.sampled_from(sorted(ENTRY_POINTS)), value=VALUES)
 def test_integer_arguments_follow_one_rule(csv_path, entry, value):
+    assume(not (entry == "ConstraintConfig.max_attempts" and value is None))  # the default budget
     minimum, call = ENTRY_POINTS[entry]
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if entry == "load_csv.label_count" and value < 2:
-        # load_csv's own rule, checked before the integer rule
+    if entry == "load_csv.label_count" and integer and 0 <= value < 2:
+        # load_csv's own rule, checked after the integer rule
         with pytest.raises(ValidationError, match="^dataset needs at least two label columns$"):
             call(value, csv_path)
     elif not integer or value < minimum:
@@ -91,6 +95,52 @@ def test_integer_arguments_follow_one_rule(csv_path, entry, value):
     else:
         got = call(value, csv_path)
         assert got == value and type(got) is int
+
+
+# entry point -> (range, call); the call returns the value as the entry point
+# stored or used it
+def theta_range(v):
+    return 0.0 <= v <= 1.0
+
+
+def smoothing_range(v):
+    return math.isfinite(v) and v > 0.0
+
+
+FLOAT_ENTRY_POINTS = {
+    "VpcmeConfig.theta": (theta_range, lambda v: VpcmeConfig(theta=v).theta),
+    "VpcmeConfig.smoothing": (smoothing_range, lambda v: VpcmeConfig(smoothing=v).smoothing),
+    "ExperimentConfig.theta": (theta_range, lambda v: ExperimentConfig(theta=v).theta),
+    "ExperimentConfig.smoothing": (smoothing_range, lambda v: ExperimentConfig(smoothing=v).smoothing),
+    "ConstraintConfig.theta": (theta_range, lambda v: ConstraintConfig(v, 1, 1).theta),
+    "SweepSpec.values": (theta_range, lambda v: SweepSpec("theta", (v,)).values[0]),
+    "fit_mlknn.smoothing": (smoothing_range, lambda v: fit_mlknn(POINTS, LABELS, 2, v).smoothing),
+}
+
+UNIT = st.floats(-0.5, 1.5)
+FLOAT_VALUES = st.one_of(
+    UNIT,
+    UNIT.map(np.float32),
+    UNIT.map(np.float64),
+    st.integers(-1, 2),
+    st.integers(-1, 2).map(np.int64),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.sampled_from(["0.5", "", None, np.bool_(True)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry=st.sampled_from(sorted(FLOAT_ENTRY_POINTS)), value=FLOAT_VALUES)
+def test_float_arguments_follow_one_rule(entry, value):
+    in_range, call = FLOAT_ENTRY_POINTS[entry]
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not real or not in_range(float(value)):
+        with pytest.raises(ConfigError):
+            call(value)
+    else:
+        got = call(value)
+        assert got == float(value) and type(got) is float
 
 
 @pytest.mark.parametrize("value, minimum, message", [
@@ -106,6 +156,17 @@ def test_integer_arguments_follow_one_rule(csv_path, entry, value):
 def test_checked_int_wording(value, minimum, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         checked_int("count", value, minimum)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0.5", "theta must be a real number, got '0.5'"),
+    (None, "theta must be a real number, got None"),
+    (True, "theta must be a real number, got True"),
+    (np.bool_(False), "theta must be a real number, got np.False_"),
+])
+def test_checked_float_wording(value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        checked_float("theta", value)
 
 
 @pytest.mark.parametrize("value", [2, np.int32(2), np.int64(2), np.uint8(2)])
@@ -174,3 +235,33 @@ def test_numpy_integer_experiment_config_is_json_ready():
                            repeats=np.int16(2), seed=np.uint32(5))
     assert cfg == ExperimentConfig(ensemble_size=4, k_neighbors=3, folds=3, repeats=2, seed=5)
     assert json.loads(json.dumps(asdict(cfg)))["folds"] == 3
+
+
+# One regression test per float setting that used to fail late with a raw
+# TypeError, be taken as a number, or reach json.dumps as a numpy scalar.
+
+
+@pytest.mark.parametrize("make", [
+    lambda: VpcmeConfig(theta="0.5"),
+    lambda: VpcmeConfig(smoothing="1"),
+    lambda: SweepSpec("theta", ("0.5",)),
+    lambda: ConstraintConfig("0.5", 1, 1),
+    lambda: fit_mlknn(POINTS, LABELS, 2, "1"),
+    lambda: VpcmeConfig(theta=True),
+], ids=["config-theta", "config-smoothing", "sweep-theta", "constraint-theta", "fit_mlknn-smoothing",
+        "config-theta-bool"])
+def test_float_settings_reject_strings_and_bools(make):
+    with pytest.raises(ConfigError, match="must be a real number, got "):
+        make()
+
+
+def test_numpy_float_experiment_config_is_json_ready():
+    cfg = ExperimentConfig(theta=np.float32(0.5), smoothing=np.float32(2))
+    assert cfg == ExperimentConfig(theta=0.5, smoothing=2.0)
+    assert json.loads(json.dumps(asdict(cfg)))["theta"] == 0.5
+
+
+@pytest.mark.parametrize("value", ["3", None])
+def test_load_csv_rejects_a_label_count_that_is_not_a_number(csv_path, value):
+    with pytest.raises(ConfigError, match="^label_count must be an integer, got "):
+        load_csv(csv_path, value)

@@ -120,33 +120,6 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def save_model_v1(model, path):
-    """Write ``model`` in the vpcme-model/1 layout: the config with its two
-    pair targets, and each member's own projected training rows, labels, k
-    and smoothing next to its projection and tables."""
-    payload = {
-        "format": "vpcme-model/1",
-        "config": json.dumps(dict(asdict(model.config), n_must=None, n_cannot=None), sort_keys=True),
-        "member_count": np.int64(len(model.members)),
-        "training_log": np.array(model.training_log, dtype=np.float64).reshape(-1, 4),
-    }
-    if model.scaler is not None:
-        payload["scaler_mean"], payload["scaler_scale"] = model.scaler
-    for i, (proj, classifier) in enumerate(model.members):
-        payload[f"m{i}_w"] = proj.w
-        payload[f"m{i}_eigenvalues"] = proj.eigenvalues
-        payload[f"m{i}_scaling_r"] = np.float64(proj.scaling_r)
-        payload[f"m{i}_train_points"] = classifier.train_points
-        payload[f"m{i}_train_labels"] = classifier.train_labels
-        payload[f"m{i}_prior_pos"] = classifier.prior_pos
-        payload[f"m{i}_freq_pos"] = classifier.freq_pos
-        payload[f"m{i}_freq_neg"] = classifier.freq_neg
-        payload[f"m{i}_k_neighbors"] = np.int64(classifier.k_neighbors)
-        payload[f"m{i}_smoothing"] = np.float64(classifier.smoothing)
-    with open(path, "wb") as handle:
-        np.savez(handle, **payload)
-
-
 def read_json(path):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -412,49 +385,6 @@ class TestTrainPredict:
         save_model(train_method(cfg, load_csv(data_csv, 3), cfg.seed), direct)
         assert model_path.read_bytes() == direct.read_bytes()
 
-    @pytest.mark.parametrize("zscore", [False, True], ids=["plain", "zscore"])
-    @pytest.mark.parametrize("method", ["vpcme", "bagging_vpcp", "mlknn_single"])
-    def test_v1_and_v2_files_of_one_model_predict_the_same_bytes(
-        self, data_csv, tmp_path, method, zscore
-    ):
-        cfg = ExperimentConfig(method=method, ensemble_size=3, k_neighbors=5, seed=4, zscore=zscore)
-        model = train_method(cfg, load_csv(data_csv, 3), cfg.seed)
-        outputs = []
-        for name, writer in (("v1", save_model_v1), ("v2", save_model)):
-            model_path = str(tmp_path / f"{name}.npz")
-            writer(model, model_path)
-            pred_path = tmp_path / f"{name}.csv"
-            assert run_cli("predict", "--model", model_path, "--data", data_csv, "--labels", "3",
-                           "--out", str(pred_path)) == 0
-            outputs.append(pred_path.read_bytes())
-        assert outputs[0] == outputs[1]
-        v1 = load_model(str(tmp_path / "v1.npz"))
-        assert v1.features is None and v1.config == model.config
-        with pytest.raises(ValidationError, match="without its training features"):
-            save_model(v1, str(tmp_path / "again.npz"))
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda a: {"m1_smoothing": np.float64(0.5)},
-            lambda a: {"config": str(a["config"]).replace('"k_neighbors": 5', '"k_neighbors": 4')},
-        ],
-        ids=["member-smoothing", "config-k"],
-    )
-    def test_v1_file_whose_member_disagrees_with_its_config_is_rejected(
-        self, data_csv, tmp_path, capsys, edit
-    ):
-        cfg = ExperimentConfig(ensemble_size=2, k_neighbors=5, seed=4)
-        model_path = str(tmp_path / "v1.npz")
-        save_model_v1(train_method(cfg, load_csv(data_csv, 3), cfg.seed), model_path)
-        with np.load(model_path) as data:
-            arrays = {name: data[name] for name in data.files}
-        arrays.update(edit(arrays))
-        np.savez(model_path, **arrays)
-        assert run_cli("predict", "--model", model_path, "--data", data_csv, "--labels", "3") == 2
-        message = f"{model_path}: not a vpcme-model/1 model file: members must use the config's"
-        assert message in capsys.readouterr().err
-
     @pytest.mark.parametrize("smoothing", ["nan", "inf", "0"])
     def test_train_rejects_a_smoothing_that_is_not_finite_and_positive(
         self, data_csv, tmp_path, capsys, smoothing
@@ -511,6 +441,23 @@ class TestEntryPoint:
     def test_predict_rejects_a_file_that_is_not_a_model(self, data_csv, capsys):
         assert run_cli("predict", "--model", data_csv, "--data", data_csv, "--labels", "3") == 2
         assert f"{data_csv}: not a vpcme-model/2 model file" in capsys.readouterr().err
+
+    def test_predict_rejects_a_vpcme_model_1_archive(self, data_csv, tmp_path, capsys):
+        model_path = str(tmp_path / "model.npz")
+        assert run_cli(
+            "train", "--data", data_csv, "--labels", "3", "--ensemble-size", "1", "--k", "5",
+            "--out", model_path,
+        ) == 0
+        with np.load(model_path) as data:
+            arrays = {key: data[key] for key in data.files}
+        np.savez(model_path, **dict(arrays, format="vpcme-model/1"))
+        message = f"{model_path}: not a vpcme-model/2 model file"
+        with pytest.raises(ValidationError) as info:
+            load_model(model_path)
+        assert str(info.value) == message
+        capsys.readouterr()
+        assert run_cli("predict", "--model", model_path, "--data", data_csv, "--labels", "3") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_predict_rejects_a_model_archive_without_member_arrays(self, data_csv, tmp_path, capsys):
         model_path = str(tmp_path / "model.npz")

@@ -69,6 +69,16 @@ def test_numpy_integer_settings_become_int_and_survive_a_round_trip(tmp_path):
         assert np.array_equal(want, got)
 
 
+def test_numpy_float_settings_become_float_and_survive_a_round_trip(tmp_path):
+    cfg = quick_cfg(theta=np.float32(0.5), smoothing=np.float32(0.5))
+    assert type(cfg.theta) is float and type(cfg.smoothing) is float
+    assert cfg == quick_cfg(theta=0.5, smoothing=0.5)
+    model = train_vpcme(small_dataset(), cfg)
+    path = str(tmp_path / "model.npz")
+    save_model(model, path)
+    assert load_model(path).config == cfg
+
+
 class TestTraining:
     def test_single_member_equals_manual_pipeline(self):
         ds = small_dataset()
@@ -112,6 +122,23 @@ class TestTraining:
         qb = predict_ensemble(b, ds.features)
         assert np.array_equal(qa[0], qb[0])
         assert np.array_equal(qa[1], qb[1])
+
+    @pytest.mark.parametrize("boosting", [True, False], ids=["vpcme", "bagging_vpcp"])
+    def test_first_members_equal_a_smaller_ensemble(self, boosting):
+        # member l's stream and weights do not depend on the ensemble size, so
+        # the first s members of one large ensemble are an s-member ensemble
+        ds, x = small_dataset(seed=5), small_dataset(seed=6).features
+        big = train_vpcme(ds, quick_cfg(ensemble_size=5, boosting_enabled=boosting))
+        for s in (1, 2, 4):
+            small = train_vpcme(ds, quick_cfg(ensemble_size=s, boosting_enabled=boosting))
+            assert big.training_log[:s] == small.training_log
+            for (big_proj, _), (small_proj, _) in zip(big.members, small.members):
+                assert big_proj.w.shape == small_proj.w.shape
+                assert big_proj.w.tobytes() == small_proj.w.tobytes()
+            prefix = replace(big, members=big.members[:s], config=small.config,
+                             training_log=big.training_log[:s])
+            for want, got in zip(predict_ensemble(small, x), predict_ensemble(prefix, x)):
+                assert np.array_equal(want, got)
 
     def test_too_few_instances_for_k(self):
         ds = small_dataset(n=5)
@@ -435,11 +462,12 @@ class TestModelValidation:
     def test_member_count_must_match_config(self):
         ds = small_dataset()
         model = train_vpcme(ds, quick_cfg(ensemble_size=2))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="member count must equal"):
             VpcmeModel(
                 members=model.members[:1],
                 config=model.config,
                 training_log=model.training_log[:1],
+                features=ds.features,
             )
 
     def test_dimension_mismatch_rejected(self):
@@ -451,11 +479,12 @@ class TestModelValidation:
             eigenvalues=np.zeros(classifier.dim + 1),
             scaling_r=1.0,
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="classifier dimension must match"):
             VpcmeModel(
                 members=((wrong, classifier),),
                 config=VpcmeConfig(ensemble_size=1),
                 training_log=((0.0, 1, 0, 0),),
+                features=ds.features,
             )
 
     def test_members_must_share_feature_and_label_counts(self):
@@ -471,6 +500,7 @@ class TestModelValidation:
                     members=a.members + other.members,
                     config=quick_cfg(ensemble_size=2),
                     training_log=a.training_log + other.training_log,
+                    features=ds.features,
                 )
 
     def test_features_and_member_settings_must_fit_the_members(self):
@@ -478,6 +508,10 @@ class TestModelValidation:
         model = train_vpcme(ds, quick_cfg(ensemble_size=1))
         with pytest.raises(ValidationError, match="features must have one row per training row"):
             replace(model, features=ds.features[:-1])
+        with pytest.raises(ValidationError, match="features must have one row per training row"):
+            replace(model, features=None)
+        with pytest.raises(TypeError, match="features"):
+            VpcmeModel(model.members, model.config, model.training_log)
         with pytest.raises(ValidationError, match="config's k_neighbors and smoothing"):
             replace(model, config=quick_cfg(ensemble_size=1, k_neighbors=4))
         with pytest.raises(ValidationError, match="config's k_neighbors and smoothing"):
