@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CsvFormatError, ValidationError, checked_int
+from .errors import ConfigError, CsvFormatError, ValidationError, checked_int, checked_matrix
 
 
 @dataclass(frozen=True)
@@ -22,10 +22,8 @@ class MultiLabelDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        features = np.ascontiguousarray(self.features, dtype=np.float64)
-        labels = np.ascontiguousarray(self.labels, dtype=bool)
-        if features.ndim != 2 or labels.ndim != 2:
-            raise ValidationError("features and labels must be 2-D matrices")
+        features = checked_matrix("features", self.features, np.float64, finite=True)
+        labels = checked_matrix("labels", self.labels, bool)
         if features.shape[0] != labels.shape[0]:
             raise ValidationError(
                 f"row count mismatch: {features.shape[0]} feature rows vs "
@@ -37,8 +35,6 @@ class MultiLabelDataset:
             raise ValidationError("dataset needs at least one feature column")
         if labels.shape[1] < 2:
             raise ValidationError("dataset needs at least two label columns")
-        if not np.all(np.isfinite(features)):
-            raise ValidationError("feature matrix contains non-finite values")
         features.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", features)

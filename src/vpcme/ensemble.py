@@ -9,7 +9,6 @@ stay uniform, which is the bagging-style baseline.
 """
 
 import json
-import math
 import zipfile
 from dataclasses import asdict, dataclass, replace
 
@@ -18,11 +17,12 @@ import numpy as np
 from ._kernels import one_blas_thread, parallel_map
 from .constraints import ConstraintConfig, sample_constraints
 from .dataset import MultiLabelDataset
-from .errors import ConfigError, ValidationError, checked_float, checked_int
+from .errors import ConfigError, ValidationError, checked_bool, checked_float, checked_int, checked_matrix
 from .mlknn import (
     DEFAULT_K,
     DEFAULT_SMOOTHING,
     MlknnModel,
+    checked_smoothing,
     fit_mlknn,
     posterior_scores,
     predict_bipartition,
@@ -35,7 +35,9 @@ MODEL_FORMAT = "vpcme-model/2"
 @dataclass(frozen=True)
 class VpcmeConfig:
     """The member settings of one ensemble, each checked when built; the
-    counts and seed are stored as ``int``, theta and smoothing as ``float``."""
+    counts and seed are stored as ``int``, theta and smoothing as ``float``,
+    ``boosting_enabled`` as ``bool``. The smoothing follows
+    :func:`~vpcme.mlknn.checked_smoothing` with the config's k."""
 
     ensemble_size: int = 30
     theta: float = 0.6
@@ -47,12 +49,11 @@ class VpcmeConfig:
     def __post_init__(self):
         for name, minimum in (("ensemble_size", 1), ("k_neighbors", 1), ("seed", 0)):
             object.__setattr__(self, name, checked_int(name, getattr(self, name), minimum))
-        for name in ("theta", "smoothing"):
-            object.__setattr__(self, name, checked_float(name, getattr(self, name)))
+        object.__setattr__(self, "theta", checked_float("theta", self.theta))
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
-        if not (math.isfinite(self.smoothing) and self.smoothing > 0.0):
-            raise ConfigError(f"smoothing must be finite and positive, got {self.smoothing}")
+        object.__setattr__(self, "smoothing", checked_smoothing(self.smoothing, self.k_neighbors))
+        object.__setattr__(self, "boosting_enabled", checked_bool("boosting_enabled", self.boosting_enabled))
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,8 @@ class VpcmeModel:
     tuple per member. ``scaler`` is None or the (mean, scale) pair that
     :func:`predict_ensemble` applies to every query, ``(x - mean) / scale``,
     because the members were trained on features standardized that way.
-    ``features`` holds the training rows as the members saw them (after any
-    scaler), which each member's classifier holds projected through its W.
+    ``features`` holds the training rows, finite, as the members saw them
+    (after any scaler); each member's classifier holds them projected through its W.
     """
 
     members: tuple
@@ -101,7 +102,7 @@ class VpcmeModel:
             mean.setflags(write=False)
             scale.setflags(write=False)
             object.__setattr__(self, "scaler", (mean, scale))
-        features = np.ascontiguousarray(self.features, dtype=np.float64)
+        features = checked_matrix("features", self.features, np.float64, finite=True)
         if features.shape != (first_classifier.train_points.shape[0], first_proj.input_dim):
             raise ValidationError("features must have one row per training row and one per input")
         features.setflags(write=False)
@@ -183,20 +184,14 @@ def predict_ensemble(model: VpcmeModel, x):
 
     A label is predicted when strictly more than half the members vote for
     it; an exact half split falls back to the mean score against 0.5.
-    Takes a matrix of rows of raw features; a model with a scaler
+    Takes a finite matrix of raw feature rows; a model with a scaler
     standardizes them itself. Members score on ``parallel_map``'s thread
     pool; votes and scores add up in member order.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != model.feature_count:
-        raise ValidationError(
-            f"expected a matrix of query rows of width {model.feature_count}, got shape {arr.shape}"
-        )
+    arr = checked_matrix("x", x, np.float64, model.feature_count, finite=True)
     if model.scaler is not None:
         mean, scale = model.scaler
-        arr = (arr - mean) / scale
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("query matrix contains non-finite values")
+        arr = (arr - mean) / scale  # a row this overflows fails posterior_scores' finite rule
     s = len(model.members)
     votes = np.zeros((arr.shape[0], model.label_count), dtype=np.int64)
     score_sum = np.zeros((arr.shape[0], model.label_count))
@@ -245,8 +240,8 @@ def load_model(path):
     at one BLAS thread, the bits training computed. A file that is not a
     ``vpcme-model/2`` archive (one in an older layout included), lacks one
     of its arrays, or holds one that does not decode or that the model types
-    reject (a shape at odds with the rest of the model, say) raises
-    ``ValidationError`` naming it.
+    reject (a shape at odds with the rest of the model, or a non-finite
+    ``features`` entry, say) raises ``ValidationError`` naming it.
     """
     bad = f"{path}: not a {MODEL_FORMAT} model file"
     try:

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the integer- and float-argument checks."""
+"""Exception types shared across the package, and the argument checks."""
 
 import numbers
 import operator
+
+import numpy as np
 
 
 class VpcmeError(Exception):
@@ -35,7 +37,7 @@ def checked_int(name, value, minimum):
             raise TypeError
         number = operator.index(value)
     except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value}") from None
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
     if number < minimum:
         rule = f"at least {minimum}" if minimum else "a non-negative integer"
         raise ConfigError(f"{name} must be {rule}")
@@ -49,3 +51,29 @@ def checked_float(name, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def checked_bool(name, value):
+    """``value`` as a ``bool``, else ``ConfigError``. Python and numpy bools
+    pass; integers, strings and None do not."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
+def checked_matrix(name, value, dtype, columns=None, finite=False):
+    """``value`` as a C-contiguous 2-D ``dtype`` array, else ``ValidationError``: a
+    rectangular array of numbers, ``columns`` wide if given, finite if ``finite``."""
+    try:
+        matrix = np.asarray(value)
+    except ValueError:  # a ragged list
+        matrix = np.asarray(None)
+    if matrix.dtype.kind not in "biuf":  # also a string cell
+        raise ValidationError(f"{name} must be a rectangular matrix of numbers")
+    if matrix.ndim != 2 or columns not in (None, matrix.shape[1]):
+        width = "" if columns is None else f" of width {columns}"
+        raise ValidationError(f"{name} must be a 2-D matrix{width}, got shape {matrix.shape}")
+    matrix = np.ascontiguousarray(matrix, dtype=dtype)
+    if finite and not np.isfinite(matrix).all():
+        raise ValidationError(f"{name} matrix contains non-finite values")
+    return matrix

@@ -19,7 +19,7 @@ from ._kernels import parallel_map
 from ._ttable import critical_value
 from .dataset import MultiLabelDataset, kfold_split
 from .ensemble import VpcmeConfig, predict_ensemble, train_single_mlknn, train_vpcme
-from .errors import ConfigError, ValidationError, checked_float, checked_int
+from .errors import ConfigError, ValidationError, checked_bool, checked_float, checked_int
 from .metrics import HIGHER_IS_BETTER, METRIC_NAMES, evaluate_all
 
 METHODS = ("vpcme", "bagging_vpcp", "mlknn_single")
@@ -45,6 +45,7 @@ class ExperimentConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         for name, minimum in (("folds", 2), ("repeats", 1)):
             object.__setattr__(self, name, checked_int(name, getattr(self, name), minimum))
+        object.__setattr__(self, "zscore", checked_bool("zscore", self.zscore))
         member = self.member_config(self.seed)  # the member settings' own checks
         for name in ("ensemble_size", "theta", "k_neighbors", "smoothing", "seed"):
             object.__setattr__(self, name, getattr(member, name))  # as the member config stores it
@@ -164,6 +165,17 @@ def train_method(cfg: ExperimentConfig, train_ds: MultiLabelDataset, seed: int):
 
 def cross_validate(cfg: ExperimentConfig, dataset: MultiLabelDataset) -> EvaluationReport:
     """Repeated k-fold cross-validation of one method on one dataset."""
+    return _cross_validate(cfg, dataset, (cfg.ensemble_size,))[0]
+
+
+def _cross_validate(cfg, dataset, sizes):
+    """One :func:`cross_validate` report per ensemble size in ``sizes``.
+
+    Each fold unit trains once, at the largest size, and scores the model
+    cut to its first s members for each s: member l's stream and weights do
+    not depend on the ensemble size, so that cut is an s-member ensemble.
+    An ``mlknn_single`` model has one member, which every size keeps.
+    """
     n = dataset.instance_count
     assignments = [kfold_split(n, cfg.folds, cfg.seed + repeat) for repeat in range(cfg.repeats)]
     min_train = n - math.ceil(n / cfg.folds)
@@ -173,19 +185,32 @@ def cross_validate(cfg: ExperimentConfig, dataset: MultiLabelDataset) -> Evaluat
             f"k_neighbors={cfg.k_neighbors}"
         )
     units = [(repeat, fold) for repeat in range(cfg.repeats) for fold in range(cfg.folds)]
+    largest = replace(cfg, ensemble_size=max(sizes))
+
+    def first_members(model, s):
+        if s >= len(model.members):
+            return model
+        return replace(model, members=model.members[:s], training_log=model.training_log[:s],
+                       config=replace(model.config, ensemble_size=s))
 
     def run_unit(unit):
         repeat, fold = unit
         test_idx = assignments[repeat].test_indices(fold)
         train_idx = assignments[repeat].train_indices(fold)
         assert np.intersect1d(train_idx, test_idx).size == 0
-        model = train_method(cfg, dataset.subset(train_idx), _train_seed(cfg.seed, repeat, fold))
-        bipartitions, scores = predict_ensemble(model, dataset.features[test_idx])
-        return evaluate_all(dataset.labels[test_idx], bipartitions, scores)
+        model = train_method(largest, dataset.subset(train_idx), _train_seed(cfg.seed, repeat, fold))
+        truths, x = dataset.labels[test_idx], dataset.features[test_idx]
+        return [evaluate_all(truths, *predict_ensemble(first_members(model, s), x)) for s in sizes]
 
+    unit_results = parallel_map(run_unit, units)
+    return [_report(cfg, units, [results[i] for results in unit_results]) for i in range(len(sizes))]
+
+
+def _report(cfg, units, unit_results):
+    """The report of one size: each metric's mean and spread over the units."""
     unit_values = {name: [] for name in METRIC_NAMES}
     skipped = {name: 0 for name in METRIC_NAMES}
-    for results in parallel_map(run_unit, units):
+    for results in unit_results:
         for name, mv in results.items():
             unit_values[name].append(mv.value)
             skipped[name] += mv.skipped
@@ -207,12 +232,12 @@ def cross_validate(cfg: ExperimentConfig, dataset: MultiLabelDataset) -> Evaluat
 
 
 def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec, dataset: MultiLabelDataset):
-    """Cross-validate once per sweep value, all other settings fixed."""
-    results = []
-    for value in sweep.values:
-        point = replace(cfg, **{sweep.parameter: value})
-        results.append((value, cross_validate(point, dataset)))
-    return results
+    """Cross-validate at each sweep value, all other settings fixed; a list
+    of (value, report) pairs. A size sweep trains each fold unit once, at
+    the largest size."""
+    if sweep.parameter == "ensemble_size":
+        return list(zip(sweep.values, _cross_validate(cfg, dataset, sweep.values)))
+    return [(value, cross_validate(replace(cfg, theta=value), dataset)) for value in sweep.values]
 
 
 def compare_methods(cfgs, dataset: MultiLabelDataset) -> dict:

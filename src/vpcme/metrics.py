@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import label_overlap_ratio
-from .errors import UndefinedMetricError, ValidationError
+from .errors import UndefinedMetricError, ValidationError, checked_matrix
 
 METRIC_NAMES = (
     "hamming_loss",
@@ -33,21 +33,15 @@ class MetricValue:
     skipped: int
 
 
-def _as_bool_matrix(x, name):
-    m = np.asarray(x, dtype=bool)
-    if m.ndim != 2:
-        raise ValidationError(f"{name} must be a 2-D boolean matrix")
+def _as_matrix(x, name, dtype=bool):
+    m = checked_matrix(name, x, dtype)
     if m.shape[0] == 0:
         raise UndefinedMetricError(f"{name} has no instances; metric undefined")
     return m
 
 
 def _as_rank_matrix(x):
-    ranks = np.asarray(x, dtype=np.int64)
-    if ranks.ndim != 2:
-        raise ValidationError("ranks must be a 2-D integer matrix")
-    if ranks.shape[0] == 0:
-        raise UndefinedMetricError("ranks has no instances; metric undefined")
+    ranks = _as_matrix(x, "ranks", np.int64)
     m = ranks.shape[1]
     expected = np.arange(1, m + 1)
     if not np.all(np.sort(ranks, axis=1) == expected):
@@ -56,13 +50,11 @@ def _as_rank_matrix(x):
 
 
 def rank_from_scores(scores) -> np.ndarray:
-    """Rank matrix from a score matrix: in each row, higher score ranks
-    better, ties to the lower index."""
-    arr = np.asarray(scores, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] < 1:
+    """Rank matrix from a finite score matrix: in each row, higher score
+    ranks better, ties to the lower index."""
+    arr = checked_matrix("scores", scores, np.float64, finite=True)
+    if arr.shape[1] < 1:
         raise ValidationError("scores must be a matrix with at least one label")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("scores must be finite to be ranked")
     order = np.argsort(-arr, axis=1, kind="stable")
     ranks = np.empty_like(order)
     m = arr.shape[1]
@@ -73,8 +65,8 @@ def rank_from_scores(scores) -> np.ndarray:
 
 def hamming_loss(truths, bipartitions) -> float:
     """Mean symmetric-difference size divided by the label count."""
-    y = _as_bool_matrix(truths, "truths")
-    z = _as_bool_matrix(bipartitions, "bipartitions")
+    y = _as_matrix(truths, "truths")
+    z = _as_matrix(bipartitions, "bipartitions")
     if y.shape != z.shape:
         raise ValidationError("truths and bipartitions must have the same shape")
     return float((y ^ z).sum()) / (y.shape[0] * y.shape[1])
@@ -109,7 +101,7 @@ def ranking_loss(truths, ranks) -> float:
 
     Instances whose label set is empty or full are skipped.
     """
-    y = _as_bool_matrix(truths, "truths")
+    y = _as_matrix(truths, "truths")
     r = _as_rank_matrix(ranks)
     m = y.shape[1]
     sizes = y.sum(axis=1)
@@ -125,7 +117,7 @@ def ranking_loss(truths, ranks) -> float:
 
 def one_error(truths, ranks) -> float:
     """Fraction of instances whose top-ranked label is not relevant."""
-    y = _as_bool_matrix(truths, "truths")
+    y = _as_matrix(truths, "truths")
     r = _as_rank_matrix(ranks)
     keep = _nonempty(y)
     if not np.any(keep):
@@ -136,7 +128,7 @@ def one_error(truths, ranks) -> float:
 
 def coverage(truths, ranks) -> float:
     """Mean depth down the ranking needed to cover all relevant labels."""
-    y = _as_bool_matrix(truths, "truths")
+    y = _as_matrix(truths, "truths")
     r = _as_rank_matrix(ranks)
     deepest = (r * y).max(axis=1)  # 0 for empty label sets
     return float(np.mean(np.where(y.any(axis=1), deepest - 1, 0)))
@@ -144,7 +136,7 @@ def coverage(truths, ranks) -> float:
 
 def average_precision(truths, ranks) -> float:
     """Mean precision at each relevant label's rank; empty sets skipped."""
-    y = _as_bool_matrix(truths, "truths")
+    y = _as_matrix(truths, "truths")
     r = _as_rank_matrix(ranks)
     keep = _nonempty(y)
     if not np.any(keep):
@@ -158,8 +150,8 @@ def average_precision(truths, ranks) -> float:
 
 def f1_metric(truths, bipartitions) -> float:
     """Per-instance F1, the truth/prediction overlap ratio (1 for two empty sets), averaged."""
-    y = _as_bool_matrix(truths, "truths")
-    z = _as_bool_matrix(bipartitions, "bipartitions")
+    y = _as_matrix(truths, "truths")
+    z = _as_matrix(bipartitions, "bipartitions")
     if y.shape != z.shape:
         raise ValidationError("truths and bipartitions must have the same shape")
     return float(np.mean(label_overlap_ratio(y, z)))
@@ -171,8 +163,8 @@ def recall(truths, bipartitions) -> float:
     Empty truth with empty prediction counts as 1; empty truth with a
     non-empty prediction is skipped.
     """
-    y = _as_bool_matrix(truths, "truths")
-    z = _as_bool_matrix(bipartitions, "bipartitions")
+    y = _as_matrix(truths, "truths")
+    z = _as_matrix(bipartitions, "bipartitions")
     if y.shape != z.shape:
         raise ValidationError("truths and bipartitions must have the same shape")
     keep = _recall_kept(y, z)
@@ -196,12 +188,12 @@ def evaluate_all(truths, bipartitions, scores) -> dict[str, MetricValue]:
         "f1": f1_metric(truths, bipartitions),
         "recall": recall(truths, bipartitions),
     }
-    y = _as_bool_matrix(truths, "truths")
+    y = _as_matrix(truths, "truths")
     kept = {
         "ranking_loss": _ranking_kept(y),
         "one_error": _nonempty(y),
         "average_precision": _nonempty(y),
-        "recall": _recall_kept(y, _as_bool_matrix(bipartitions, "bipartitions")),
+        "recall": _recall_kept(y, _as_matrix(bipartitions, "bipartitions")),
     }
     return {
         name: MetricValue(values[name], int(np.count_nonzero(~kept[name])) if name in kept else 0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, ValidationError, checked_float, checked_int
+from .errors import ConfigError, ValidationError, checked_float, checked_int, checked_matrix
 
 DEFAULT_K = 10
 DEFAULT_SMOOTHING = 1.0
@@ -36,8 +36,8 @@ class MlknnModel:
     train_neighbors: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        points = np.ascontiguousarray(self.train_points, dtype=np.float64)
-        labels = np.ascontiguousarray(self.train_labels, dtype=bool)
+        points = checked_matrix("train_points", self.train_points, np.float64)
+        labels = checked_matrix("train_labels", self.train_labels, bool)
         prior = np.ascontiguousarray(self.prior_pos, dtype=np.float64)
         fpos = np.ascontiguousarray(self.freq_pos, dtype=np.int64)
         fneg = np.ascontiguousarray(self.freq_neg, dtype=np.int64)
@@ -77,28 +77,40 @@ class MlknnModel:
         return self.train_labels.shape[1]
 
 
+def checked_smoothing(smoothing, k_neighbors: int) -> float:
+    """``smoothing`` as a ``float``, else ``ConfigError``: a real that is finite
+    and positive, and small enough that ``smoothing * (k_neighbors + 1)``, the
+    largest denominator MLKNN forms, is finite too."""
+    s = checked_float("smoothing", smoothing)
+    if not (math.isfinite(s) and s > 0.0):
+        raise ConfigError(f"smoothing must be finite and positive, got {s}")
+    if not math.isfinite(s * (k_neighbors + 1)):
+        raise ConfigError(f"smoothing * (k_neighbors + 1) must be finite, got smoothing={s} "
+                          f"with k_neighbors={k_neighbors}")
+    return s
+
+
 def fit_mlknn(points, labels, k_neighbors: int = DEFAULT_K,
               smoothing: float = DEFAULT_SMOOTHING) -> MlknnModel:
     """Count neighbor statistics and smoothed priors over the training set.
 
-    Neighbors use Euclidean distance with the instance itself excluded;
-    distance ties go to the lower training index. The model keeps each
-    row's neighbors with itself included as ``train_neighbors``.
+    ``points`` must be finite, one row per ``labels`` row; the smoothing
+    follows :func:`checked_smoothing`. Neighbors use Euclidean distance with
+    the instance itself excluded; distance ties go to the lower training
+    index. The model keeps each row's neighbors, itself included, as ``train_neighbors``.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    labels = np.ascontiguousarray(labels, dtype=bool)
+    points = checked_matrix("points", points, np.float64, finite=True)
+    labels = checked_matrix("labels", labels, bool)
     n = points.shape[0]
     r = labels.shape[1]
-    s = checked_float("smoothing", smoothing)
     k = checked_int("k_neighbors", k_neighbors, 1)
+    s = checked_smoothing(smoothing, k)
     if labels.shape[0] != n:
         raise ValidationError("points and labels row counts differ")
     if n < 2:
         raise ConfigError("fitting needs at least 2 instances")
     if k >= n:
         raise ConfigError(f"k_neighbors={k} must be smaller than the instance count {n}")
-    if not (math.isfinite(s) and s > 0.0):
-        raise ConfigError(f"smoothing must be finite and positive, got {s}")
 
     # One search of the training rows as plain queries: its first k columns
     # are each row's list with itself included (the row lies at distance 0,
@@ -126,10 +138,8 @@ def fit_mlknn(points, labels, k_neighbors: int = DEFAULT_K,
 
 
 def posterior_scores(model: MlknnModel, query) -> np.ndarray:
-    """Posterior probability of each label for each row of a query matrix."""
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != model.dim:
-        raise ValidationError(f"expected a matrix of query rows of width {model.dim}, got shape {q.shape}")
+    """Posterior probability of each label for each row of a finite query matrix."""
+    q = checked_matrix("query", query, np.float64, model.dim, finite=True)
     if model.train_neighbors is not None and np.array_equal(q, model.train_points):
         neighbors = model.train_neighbors  # the training rows: reuse the fit's search
     else:

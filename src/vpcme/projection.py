@@ -15,7 +15,7 @@ import numpy as np
 
 from .constraints import PairConstraintSets
 from .dataset import MultiLabelDataset
-from .errors import ValidationError
+from .errors import ValidationError, checked_matrix
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class ProjectionModel:
     scaling_r: float
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.w, dtype=np.float64)
+        w = checked_matrix("w", self.w, np.float64)
         eigenvalues = np.ascontiguousarray(self.eigenvalues, dtype=np.float64)
         k, d = w.shape
         if eigenvalues.shape != (d,):
@@ -103,8 +103,8 @@ def symmetric_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     eigenvector's first largest-magnitude component is made positive so
     repeated runs are bit-identical.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = checked_matrix("a", a, np.float64)
+    if a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] and np.max(np.abs(a - a.T)) > 1e-8:
         raise ValidationError("matrix is not symmetric within 1e-8")
@@ -135,8 +135,5 @@ def fit_projection(ds: MultiLabelDataset, sets: PairConstraintSets) -> Projectio
 
 
 def transform(model: ProjectionModel, x) -> np.ndarray:
-    """Project an n-by-k matrix of rows into the reduced space."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise ValidationError(f"expected a matrix of rows of width {model.input_dim}, got shape {x.shape}")
-    return x @ model.w
+    """Project an n-by-``model.input_dim`` matrix of rows into the reduced space."""
+    return checked_matrix("x", x, np.float64, model.input_dim) @ model.w

@@ -3,12 +3,16 @@ a Python or numpy integer of at least the entry's minimum, stored as
 ``int``; bools, strings, None and floats (integral ones, NaN and the
 infinities included) raise ``ConfigError``. Threshold and smoothing
 arguments follow another: a Python or numpy real in the entry's range,
-stored as ``float``; bools, strings and None raise ``ConfigError``."""
+stored as ``float``; bools, strings and None raise ``ConfigError``. Bool
+settings take a Python or numpy bool, stored as ``bool``, and nothing
+else. Matrix arguments take a rectangular 2-D array of numbers, of the
+entry's width and finite where the entry says so, and raise
+``ValidationError`` otherwise."""
 
 import json
 import math
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -18,15 +22,29 @@ from hypothesis import strategies as st
 from vpcme import (
     ConstraintConfig,
     ExperimentConfig,
+    MultiLabelDataset,
+    ProjectionModel,
     SweepSpec,
     VpcmeConfig,
     fit_mlknn,
+    hamming_loss,
     kfold_split,
     load_csv,
     load_features,
+    load_model,
+    posterior_scores,
+    predict_ensemble,
+    rank_from_scores,
+    ranking_loss,
+    save_csv,
+    save_model,
+    symmetric_eigen,
     synthetic_dataset,
+    train_single_mlknn,
+    transform,
 )
-from vpcme.errors import ConfigError, ValidationError, checked_float, checked_int
+from vpcme.cli import main
+from vpcme.errors import ConfigError, ValidationError, checked_bool, checked_float, checked_int
 
 POINTS = np.arange(16, dtype=np.float64).reshape(8, 2) ** 1.5
 LABELS = np.array([[i % 2 == 0, i % 3 == 0] for i in range(8)])
@@ -103,18 +121,23 @@ def theta_range(v):
     return 0.0 <= v <= 1.0
 
 
-def smoothing_range(v):
-    return math.isfinite(v) and v > 0.0
+def smoothing_range(v, k):
+    """Finite and positive, with smoothing * (k + 1) finite."""
+    return math.isfinite(v) and v > 0.0 and math.isfinite(v * (k + 1))
 
 
+DEFAULT_K = VpcmeConfig.k_neighbors
 FLOAT_ENTRY_POINTS = {
     "VpcmeConfig.theta": (theta_range, lambda v: VpcmeConfig(theta=v).theta),
-    "VpcmeConfig.smoothing": (smoothing_range, lambda v: VpcmeConfig(smoothing=v).smoothing),
+    "VpcmeConfig.smoothing": (lambda v: smoothing_range(v, DEFAULT_K),
+                              lambda v: VpcmeConfig(smoothing=v).smoothing),
     "ExperimentConfig.theta": (theta_range, lambda v: ExperimentConfig(theta=v).theta),
-    "ExperimentConfig.smoothing": (smoothing_range, lambda v: ExperimentConfig(smoothing=v).smoothing),
+    "ExperimentConfig.smoothing": (lambda v: smoothing_range(v, DEFAULT_K),
+                                   lambda v: ExperimentConfig(smoothing=v).smoothing),
     "ConstraintConfig.theta": (theta_range, lambda v: ConstraintConfig(v, 1, 1).theta),
     "SweepSpec.values": (theta_range, lambda v: SweepSpec("theta", (v,)).values[0]),
-    "fit_mlknn.smoothing": (smoothing_range, lambda v: fit_mlknn(POINTS, LABELS, 2, v).smoothing),
+    "fit_mlknn.smoothing": (lambda v: smoothing_range(v, 2),
+                            lambda v: fit_mlknn(POINTS, LABELS, 2, v).smoothing),
 }
 
 UNIT = st.floats(-0.5, 1.5)
@@ -149,7 +172,8 @@ def test_float_arguments_follow_one_rule(entry, value):
     (math.nan, 2, "count must be an integer, got nan"),
     (-math.inf, 2, "count must be an integer, got -inf"),
     (True, 0, "count must be an integer, got True"),
-    (np.bool_(True), 0, "count must be an integer, got True"),
+    (np.bool_(True), 0, "count must be an integer, got np.True_"),
+    ("3", 0, "count must be an integer, got '3'"),
     (1, 2, "count must be at least 2"),
     (-1, 0, "count must be a non-negative integer"),
 ])
@@ -265,3 +289,158 @@ def test_numpy_float_experiment_config_is_json_ready():
 def test_load_csv_rejects_a_label_count_that_is_not_a_number(csv_path, value):
     with pytest.raises(ConfigError, match="^label_count must be an integer, got "):
         load_csv(csv_path, value)
+
+
+# The smoothing bound: smoothing * (k + 1), the largest denominator MLKNN
+# forms, must be finite. 1.7e307 overflows it at k = 10 (every posterior came
+# back NaN); from about 9e307 the prior's 2s + n overflows too.
+
+POINTS_12 = np.arange(24, dtype=np.float64).reshape(12, 2) ** 1.5
+LABELS_12 = np.array([[i % 2 == 0, i % 3 == 0] for i in range(12)])
+
+
+@pytest.mark.parametrize("smoothing", [1.7e307, 8.98846567431158e+307])
+@pytest.mark.parametrize("make", [
+    lambda s: VpcmeConfig(smoothing=s),
+    lambda s: ExperimentConfig(smoothing=s),
+    lambda s: fit_mlknn(POINTS_12, LABELS_12, 10, s),
+], ids=["VpcmeConfig", "ExperimentConfig", "fit_mlknn"])
+def test_smoothing_that_overflows_mlknn_is_rejected(make, smoothing):
+    with pytest.raises(ConfigError, match=re.escape(f"got smoothing={smoothing} with k_neighbors=10")):
+        make(smoothing)
+
+
+def test_largest_accepted_smoothing_scores_finite_posteriors():
+    s = np.finfo(np.float64).max / 11
+    while not math.isfinite(s * 11):
+        s = np.nextafter(s, 0.0)
+    model = fit_mlknn(POINTS_12, LABELS_12, 10, s)
+    assert VpcmeConfig(smoothing=s).smoothing == s
+    assert np.all(np.isfinite(posterior_scores(model, POINTS_12)))
+
+
+# Bool settings: a Python or numpy bool, stored as bool; nothing else.
+
+BOOL_ENTRY_POINTS = {
+    "VpcmeConfig.boosting_enabled": lambda v: VpcmeConfig(boosting_enabled=v).boosting_enabled,
+    "ExperimentConfig.zscore": lambda v: ExperimentConfig(zscore=v).zscore,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BOOL_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), np.bool_(False)], ids=repr)
+def test_bool_settings_store_bools(entry, value):
+    got = BOOL_ENTRY_POINTS[entry](value)
+    assert got == value and type(got) is bool
+
+
+@pytest.mark.parametrize("entry", sorted(BOOL_ENTRY_POINTS))
+@pytest.mark.parametrize("value", ["no", "false", "", 0, 1, np.int64(1), 1.0, None], ids=repr)
+def test_bool_settings_reject_everything_else(entry, value):
+    with pytest.raises(ConfigError, match=f"^{entry.split('.')[1]} must be a bool, got "):
+        BOOL_ENTRY_POINTS[entry](value)
+
+
+def test_checked_bool_wording():
+    with pytest.raises(ConfigError, match="^zscore must be a bool, got 'false'$"):
+        checked_bool("zscore", "false")
+
+
+def test_numpy_bool_experiment_config_is_json_ready():
+    cfg = ExperimentConfig(zscore=np.bool_(True))
+    assert cfg == ExperimentConfig(zscore=True)
+    assert json.loads(json.dumps(asdict(cfg)))["zscore"] is True
+
+
+# Matrix arguments: each entry point takes a well-formed matrix and rejects,
+# with ValidationError, a string cell, a ragged list, a 1-D and a 3-D array,
+# and a NaN where it asks for finite entries.
+
+DATASET = MultiLabelDataset(POINTS, LABELS)
+MODEL = train_single_mlknn(DATASET, VpcmeConfig(k_neighbors=2))
+PROJECTION, CLASSIFIER = MODEL.members[0]
+RANKS = rank_from_scores(POINTS)
+
+# entry point -> (a valid value, call, finite entries required)
+MATRIX_ENTRY_POINTS = {
+    "MultiLabelDataset.features": (POINTS, lambda v: MultiLabelDataset(v, LABELS), True),
+    "MultiLabelDataset.labels": (LABELS, lambda v: MultiLabelDataset(POINTS, v), False),
+    "predict_ensemble.x": (POINTS, lambda v: predict_ensemble(MODEL, v), True),
+    "VpcmeModel.features": (POINTS, lambda v: replace(MODEL, features=v), True),
+    "transform.x": (POINTS, lambda v: transform(PROJECTION, v), False),
+    "symmetric_eigen.a": (np.eye(2), symmetric_eigen, False),
+    "ProjectionModel.w": (np.eye(2), lambda v: replace(PROJECTION, w=v), False),
+    "fit_mlknn.points": (POINTS, lambda v: fit_mlknn(v, LABELS, 2), True),
+    "fit_mlknn.labels": (LABELS, lambda v: fit_mlknn(POINTS, v, 2), False),
+    "MlknnModel.train_points": (POINTS, lambda v: replace(CLASSIFIER, train_points=v), False),
+    "MlknnModel.train_labels": (LABELS, lambda v: replace(CLASSIFIER, train_labels=v), False),
+    "posterior_scores.query": (POINTS, lambda v: posterior_scores(CLASSIFIER, v), True),
+    "hamming_loss.truths": (LABELS, lambda v: hamming_loss(v, LABELS), False),
+    "hamming_loss.bipartitions": (LABELS, lambda v: hamming_loss(LABELS, v), False),
+    "ranking_loss.ranks": (RANKS, lambda v: ranking_loss(LABELS, v), False),
+    "rank_from_scores.scores": (POINTS, rank_from_scores, True),
+}
+
+
+def string_cell(good):
+    rows = good.tolist()
+    rows[0][0] = "x"
+    return rows
+
+
+def ragged(good):
+    rows = good.tolist()
+    rows[0].append(rows[0][0])
+    return rows
+
+
+def nan_cell(good):
+    bad = good.astype(np.float64)
+    bad[0, 0] = math.nan
+    return bad
+
+
+MALFORMED = {
+    "string-cell": (string_cell, "matrix"),
+    "ragged": (ragged, "matrix"),
+    "1-D": (lambda good: good[0], "2-D matrix"),
+    "3-D": (lambda good: good[None], "2-D matrix"),
+    "nan": (nan_cell, "non-finite"),
+}
+
+
+@pytest.mark.parametrize("malformed", sorted(MALFORMED))
+@pytest.mark.parametrize("entry", sorted(MATRIX_ENTRY_POINTS))
+def test_matrix_arguments_follow_one_rule(entry, malformed):
+    good, call, finite = MATRIX_ENTRY_POINTS[entry]
+    make, message = MALFORMED[malformed]
+    call(good)
+    if malformed == "nan" and not finite:
+        return
+    with pytest.raises(ValidationError, match=message):
+        call(make(good))
+
+
+def test_a_row_the_scaler_overflows_is_rejected():
+    scaler = (np.zeros(2), np.full(2, 1e-300))
+    model = replace(MODEL, scaler=scaler)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match="non-finite"):
+            predict_ensemble(model, np.array([[1e10, 0.0]]))
+
+
+def test_model_file_with_non_finite_features_is_rejected(tmp_path, capsys):
+    path = str(tmp_path / "model.npz")
+    save_model(MODEL, path)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays["features"] = nan_cell(arrays["features"])
+    np.savez(path, **arrays)
+    message = f"{path}: not a vpcme-model/2 model file: features matrix contains non-finite values"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_model(path)
+    data_path = str(tmp_path / "data.csv")
+    save_csv(DATASET, data_path)
+    capsys.readouterr()
+    assert main(["predict", "--model", path, "--data", data_path, "--labels", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

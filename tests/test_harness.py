@@ -1,5 +1,7 @@
+import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,6 +212,30 @@ class TestRunSweep:
         cfg = ExperimentConfig(method="vpcme", k_neighbors=5, folds=2, repeats=1, seed=0)
         results = run_sweep(cfg, SweepSpec("ensemble_size", (1, 10)), dataset=ds)
         assert [v for v, _ in results] == [1, 10]
+
+    @pytest.mark.parametrize("zscore", [False, True], ids=["raw", "zscore"])
+    @pytest.mark.parametrize("method", harness.METHODS)
+    def test_size_sweep_trains_each_fold_unit_once(self, method, zscore, monkeypatch):
+        # one training per (repeat, fold) at the largest size, not one per size;
+        # every size's report is the one cross_validate gives at that size
+        ds = synthetic_dataset(45, 3, 3, seed=11, label_noise=0.1)
+        cfg = ExperimentConfig(method=method, k_neighbors=5, folds=3, repeats=2, seed=4, zscore=zscore)
+        sizes = (3, 1, 4, 3)
+        trained = []
+        train_method = harness.train_method
+
+        def spy(cfg, train_ds, seed):
+            trained.append(cfg.ensemble_size)
+            return train_method(cfg, train_ds, seed)
+
+        monkeypatch.setattr(harness, "train_method", spy)
+        results = run_sweep(cfg, SweepSpec("ensemble_size", sizes), dataset=ds)
+        assert trained == [4] * (cfg.folds * cfg.repeats)
+        monkeypatch.undo()
+        assert [value for value, _ in results] == list(sizes)
+        for value, report in results:
+            want = cross_validate(replace(cfg, ensemble_size=value), dataset=ds)
+            assert json.dumps(report.to_dict()) == json.dumps(want.to_dict())
 
     def test_default_value_lists(self):
         assert SweepSpec("theta").values == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
