@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import MultiLabelDataset
-from .errors import ConfigError, ValidationError, checked_float, checked_int
+from .errors import ConfigError, ValidationError, checked_array, checked_float, checked_int
 
 DEFAULT_ATTEMPT_FACTOR = 50
 # First sampling step covers this many times the combined targets in
@@ -51,8 +51,8 @@ class PairConstraintSets:
     cannot: np.ndarray
 
     def __post_init__(self):
-        must = np.asarray(self.must, dtype=np.int64).reshape(-1, 2)
-        cannot = np.asarray(self.cannot, dtype=np.int64).reshape(-1, 2)
+        must = checked_array("must-link pairs", self.must, np.int64, (None, 2))
+        cannot = checked_array("cannot-link pairs", self.cannot, np.int64, (None, 2))
         if must.size and np.any(must[:, 0] == must[:, 1]):
             raise ValidationError("must-link pairs may not pair an instance with itself")
         if cannot.size and np.any(cannot[:, 0] == cannot[:, 1]):
@@ -77,10 +77,12 @@ def label_overlap_ratio(labels_i, labels_j):
     Two label vectors give a float; two (m, r) label matrices give the m
     ratios of their paired rows.
     """
-    li = np.asarray(labels_i, dtype=bool)
-    lj = np.asarray(labels_j, dtype=bool)
-    if li.shape != lj.shape:
-        raise ValidationError("label vectors must come from the same label universe")
+    try:
+        vector = np.ndim(labels_i) == 1
+    except ValueError:  # a ragged list, which the matrix rule rejects
+        vector = False
+    li = checked_array("labels_i", labels_i, bool, (None,) if vector else (None, None))
+    lj = checked_array("labels_j", labels_j, bool, li.shape)
     inter = np.count_nonzero(li & lj, axis=-1)
     denom = (np.count_nonzero(li, axis=-1) + np.count_nonzero(lj, axis=-1)) / 2.0
     ratio = np.where(denom == 0.0, 1.0, inter / np.where(denom == 0.0, 1.0, denom))
@@ -109,17 +111,6 @@ def weighted_indices(weights, uniforms) -> np.ndarray:
     return np.minimum(idx, n - 1)
 
 
-def _check_weights(weights, n):
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise ValidationError(f"weights must have one entry per instance ({n}), got shape {w.shape}")
-    if np.any(w < 0.0):
-        raise ValidationError("weights must be non-negative")
-    if abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ValidationError(f"weights must sum to 1 within 1e-9, got {w.sum()!r}")
-    return w
-
-
 def sample_constraints(
     ds: MultiLabelDataset,
     weights,
@@ -143,7 +134,11 @@ def sample_constraints(
     n = ds.instance_count
     if n < 2:
         raise ConfigError("constraint sampling needs at least 2 instances")
-    w = _check_weights(weights, n)
+    w = checked_array("weights", weights, np.float64, (n,), finite=True)
+    if np.any(w < 0.0):
+        raise ValidationError("weights must be non-negative")
+    if abs(float(w.sum()) - 1.0) > 1e-9:
+        raise ValidationError(f"weights must sum to 1 within 1e-9, got {w.sum()!r}")
     must = [np.empty((0, 2), np.int64)]
     cannot = [np.empty((0, 2), np.int64)]
     need_must, need_cannot = cfg.target_must, cfg.target_cannot if cfg.theta > 0.0 else 0

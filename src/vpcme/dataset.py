@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CsvFormatError, ValidationError, checked_int, checked_matrix
+from .errors import ConfigError, CsvFormatError, ValidationError, checked_array, checked_int
 
 
 @dataclass(frozen=True)
@@ -22,13 +22,8 @@ class MultiLabelDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        features = checked_matrix("features", self.features, np.float64, finite=True)
-        labels = checked_matrix("labels", self.labels, bool)
-        if features.shape[0] != labels.shape[0]:
-            raise ValidationError(
-                f"row count mismatch: {features.shape[0]} feature rows vs "
-                f"{labels.shape[0]} label rows"
-            )
+        features = checked_array("features", self.features, np.float64, (None, None), finite=True)
+        labels = checked_array("labels", self.labels, bool, (features.shape[0], None))
         if features.shape[0] < 1:
             raise ValidationError("dataset needs at least one instance")
         if features.shape[1] < 1:
@@ -54,7 +49,7 @@ class MultiLabelDataset:
 
     def subset(self, indices) -> "MultiLabelDataset":
         """New dataset restricted to the given instance indices, in order."""
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = checked_array("indices", indices, np.int64, (None,))
         return MultiLabelDataset(self.features[idx], self.labels[idx])
 
 

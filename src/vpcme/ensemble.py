@@ -17,7 +17,7 @@ import numpy as np
 from ._kernels import one_blas_thread, parallel_map
 from .constraints import ConstraintConfig, sample_constraints
 from .dataset import MultiLabelDataset
-from .errors import ConfigError, ValidationError, checked_bool, checked_float, checked_int, checked_matrix
+from .errors import ConfigError, ValidationError, checked_array, checked_bool, checked_float, checked_int
 from .mlknn import (
     DEFAULT_K,
     DEFAULT_SMOOTHING,
@@ -93,18 +93,18 @@ class VpcmeModel:
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "training_log", log)
         if self.scaler is not None:
-            mean, scale = (np.array(a, dtype=np.float64) for a in self.scaler)
+            mean, scale = self.scaler
             width = (first_proj.input_dim,)
-            if mean.shape != width or scale.shape != width:
-                raise ValidationError(f"scaler mean and scale must have shape {width}")
-            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale) & (scale > 0.0))):
-                raise ValidationError("scaler mean must be finite, and its scale finite and positive")
+            # copies, so that freezing them leaves the caller's arrays writable
+            mean = checked_array("scaler mean", mean, np.float64, width, finite=True).copy()
+            scale = checked_array("scaler scale", scale, np.float64, width, finite=True).copy()
+            if not np.all(scale > 0.0):
+                raise ValidationError("scaler scale must be positive")
             mean.setflags(write=False)
             scale.setflags(write=False)
             object.__setattr__(self, "scaler", (mean, scale))
-        features = checked_matrix("features", self.features, np.float64, finite=True)
-        if features.shape != (first_classifier.train_points.shape[0], first_proj.input_dim):
-            raise ValidationError("features must have one row per training row and one per input")
+        shape = (first_classifier.train_points.shape[0], first_proj.input_dim)
+        features = checked_array("features", self.features, np.float64, shape, finite=True)
         features.setflags(write=False)
         object.__setattr__(self, "features", features)
 
@@ -188,10 +188,13 @@ def predict_ensemble(model: VpcmeModel, x):
     standardizes them itself. Members score on ``parallel_map``'s thread
     pool; votes and scores add up in member order.
     """
-    arr = checked_matrix("x", x, np.float64, model.feature_count, finite=True)
+    arr = checked_array("x", x, np.float64, (None, model.feature_count), finite=True)
     if model.scaler is not None:
         mean, scale = model.scaler
-        arr = (arr - mean) / scale  # a row this overflows fails posterior_scores' finite rule
+        with np.errstate(over="ignore"):
+            arr = (arr - mean) / scale
+        if not np.isfinite(arr).all():
+            raise ValidationError("x has a row that the model's scaler takes to non-finite values")
     s = len(model.members)
     votes = np.zeros((arr.shape[0], model.label_count), dtype=np.int64)
     score_sum = np.zeros((arr.shape[0], model.label_count))
@@ -272,8 +275,6 @@ def load_model(path):
                 )
                 if features is None:  # after member 0's projection: a bare archive names m0_w
                     features, labels = read("features"), read("labels")
-                    if len(features) != len(labels):
-                        raise ValueError("'features' and 'labels' row counts differ")
                 points = transform(proj, features)
                 tables = (read(f"m{i}_{name}") for name in ("prior_pos", "freq_pos", "freq_neg"))
                 members.append((proj, MlknnModel(cfg.k_neighbors, cfg.smoothing, points, labels, *tables)))

@@ -61,19 +61,28 @@ def checked_bool(name, value):
     return bool(value)
 
 
-def checked_matrix(name, value, dtype, columns=None, finite=False):
-    """``value`` as a C-contiguous 2-D ``dtype`` array, else ``ValidationError``: a
-    rectangular array of numbers, ``columns`` wide if given, finite if ``finite``."""
+def checked_array(name, value, dtype, shape, finite=False):
+    """``value`` as a C-contiguous ``dtype`` array of ``shape`` (a ``None`` size
+    takes any size), else ``ValidationError``: a rectangular array of numbers,
+    of integers (not floats or bools) for an integer ``dtype``, of bools or
+    0/1 for ``bool``, and finite if ``finite``."""
+    kind = {1: "vector", 2: "matrix"}.get(len(shape), "array")
     try:
-        matrix = np.asarray(value)
+        array = np.asarray(value)
     except ValueError:  # a ragged list
-        matrix = np.asarray(None)
-    if matrix.dtype.kind not in "biuf":  # also a string cell
-        raise ValidationError(f"{name} must be a rectangular matrix of numbers")
-    if matrix.ndim != 2 or columns not in (None, matrix.shape[1]):
-        width = "" if columns is None else f" of width {columns}"
-        raise ValidationError(f"{name} must be a 2-D matrix{width}, got shape {matrix.shape}")
-    matrix = np.ascontiguousarray(matrix, dtype=dtype)
-    if finite and not np.isfinite(matrix).all():
-        raise ValidationError(f"{name} matrix contains non-finite values")
-    return matrix
+        array = np.asarray(None)
+    if array.dtype.kind not in "biuf":  # also a string cell
+        raise ValidationError(f"{name} must be a rectangular {kind} of numbers")
+    if array.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, array.shape)):
+        wanted = str(tuple(shape)).replace("None", "any")
+        raise ValidationError(f"{name} must be a {len(shape)}-D {kind} of shape {wanted}, "
+                              f"got shape {array.shape}")
+    target = np.dtype(dtype)
+    if target.kind in "iu" and array.dtype.kind not in "iu":
+        raise ValidationError(f"{name} must hold integers, got {array.dtype} entries")
+    if target.kind == "b" and array.dtype.kind != "b" and not ((array == 0) | (array == 1)).all():
+        raise ValidationError(f"{name} must hold bools or 0/1 entries only")
+    array = np.ascontiguousarray(array, dtype=target)
+    if finite and not np.isfinite(array).all():
+        raise ValidationError(f"{name} {kind} contains non-finite values")
+    return array

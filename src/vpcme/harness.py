@@ -19,7 +19,7 @@ from ._kernels import parallel_map
 from ._ttable import critical_value
 from .dataset import MultiLabelDataset, kfold_split
 from .ensemble import VpcmeConfig, predict_ensemble, train_single_mlknn, train_vpcme
-from .errors import ConfigError, ValidationError, checked_bool, checked_float, checked_int
+from .errors import ConfigError, ValidationError, checked_array, checked_bool, checked_float, checked_int
 from .metrics import HIGHER_IS_BETTER, METRIC_NAMES, evaluate_all
 
 METHODS = ("vpcme", "bagging_vpcp", "mlknn_single")
@@ -121,10 +121,8 @@ def paired_t_test(a, b) -> TTestResult:
     Zero-variance differences are significant exactly when their common
     value is nonzero.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValidationError("paired t-test needs two equal-length 1-D series")
+    a = checked_array("a", a, np.float64, (None,), finite=True)
+    b = checked_array("b", b, np.float64, a.shape, finite=True)
     if a.shape[0] < 2:
         raise ValidationError("paired t-test needs at least 2 pairs")
     diffs = a - b

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import label_overlap_ratio
-from .errors import UndefinedMetricError, ValidationError, checked_matrix
+from .errors import UndefinedMetricError, ValidationError, checked_array
 
 METRIC_NAMES = (
     "hamming_loss",
@@ -33,15 +33,15 @@ class MetricValue:
     skipped: int
 
 
-def _as_matrix(x, name, dtype=bool):
-    m = checked_matrix(name, x, dtype)
+def _as_matrix(x, name, dtype=bool, shape=(None, None)):
+    m = checked_array(name, x, dtype, shape)
     if m.shape[0] == 0:
         raise UndefinedMetricError(f"{name} has no instances; metric undefined")
     return m
 
 
-def _as_rank_matrix(x):
-    ranks = _as_matrix(x, "ranks", np.int64)
+def _as_rank_matrix(x, shape):
+    ranks = _as_matrix(x, "ranks", np.int64, shape)
     m = ranks.shape[1]
     expected = np.arange(1, m + 1)
     if not np.all(np.sort(ranks, axis=1) == expected):
@@ -52,7 +52,7 @@ def _as_rank_matrix(x):
 def rank_from_scores(scores) -> np.ndarray:
     """Rank matrix from a finite score matrix: in each row, higher score
     ranks better, ties to the lower index."""
-    arr = checked_matrix("scores", scores, np.float64, finite=True)
+    arr = checked_array("scores", scores, np.float64, (None, None), finite=True)
     if arr.shape[1] < 1:
         raise ValidationError("scores must be a matrix with at least one label")
     order = np.argsort(-arr, axis=1, kind="stable")
@@ -66,9 +66,7 @@ def rank_from_scores(scores) -> np.ndarray:
 def hamming_loss(truths, bipartitions) -> float:
     """Mean symmetric-difference size divided by the label count."""
     y = _as_matrix(truths, "truths")
-    z = _as_matrix(bipartitions, "bipartitions")
-    if y.shape != z.shape:
-        raise ValidationError("truths and bipartitions must have the same shape")
+    z = _as_matrix(bipartitions, "bipartitions", shape=y.shape)
     return float((y ^ z).sum()) / (y.shape[0] * y.shape[1])
 
 
@@ -102,7 +100,7 @@ def ranking_loss(truths, ranks) -> float:
     Instances whose label set is empty or full are skipped.
     """
     y = _as_matrix(truths, "truths")
-    r = _as_rank_matrix(ranks)
+    r = _as_rank_matrix(ranks, y.shape)
     m = y.shape[1]
     sizes = y.sum(axis=1)
     keep = _ranking_kept(y)
@@ -118,7 +116,7 @@ def ranking_loss(truths, ranks) -> float:
 def one_error(truths, ranks) -> float:
     """Fraction of instances whose top-ranked label is not relevant."""
     y = _as_matrix(truths, "truths")
-    r = _as_rank_matrix(ranks)
+    r = _as_rank_matrix(ranks, y.shape)
     keep = _nonempty(y)
     if not np.any(keep):
         raise UndefinedMetricError("one-error undefined: every label set is empty")
@@ -129,7 +127,7 @@ def one_error(truths, ranks) -> float:
 def coverage(truths, ranks) -> float:
     """Mean depth down the ranking needed to cover all relevant labels."""
     y = _as_matrix(truths, "truths")
-    r = _as_rank_matrix(ranks)
+    r = _as_rank_matrix(ranks, y.shape)
     deepest = (r * y).max(axis=1)  # 0 for empty label sets
     return float(np.mean(np.where(y.any(axis=1), deepest - 1, 0)))
 
@@ -137,7 +135,7 @@ def coverage(truths, ranks) -> float:
 def average_precision(truths, ranks) -> float:
     """Mean precision at each relevant label's rank; empty sets skipped."""
     y = _as_matrix(truths, "truths")
-    r = _as_rank_matrix(ranks)
+    r = _as_rank_matrix(ranks, y.shape)
     keep = _nonempty(y)
     if not np.any(keep):
         raise UndefinedMetricError("average precision undefined: every label set is empty")
@@ -151,9 +149,7 @@ def average_precision(truths, ranks) -> float:
 def f1_metric(truths, bipartitions) -> float:
     """Per-instance F1, the truth/prediction overlap ratio (1 for two empty sets), averaged."""
     y = _as_matrix(truths, "truths")
-    z = _as_matrix(bipartitions, "bipartitions")
-    if y.shape != z.shape:
-        raise ValidationError("truths and bipartitions must have the same shape")
+    z = _as_matrix(bipartitions, "bipartitions", shape=y.shape)
     return float(np.mean(label_overlap_ratio(y, z)))
 
 
@@ -164,9 +160,7 @@ def recall(truths, bipartitions) -> float:
     non-empty prediction is skipped.
     """
     y = _as_matrix(truths, "truths")
-    z = _as_matrix(bipartitions, "bipartitions")
-    if y.shape != z.shape:
-        raise ValidationError("truths and bipartitions must have the same shape")
+    z = _as_matrix(bipartitions, "bipartitions", shape=y.shape)
     keep = _recall_kept(y, z)
     if not np.any(keep):
         raise UndefinedMetricError("recall undefined: every instance was skipped")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, ValidationError, checked_float, checked_int, checked_matrix
+from .errors import ConfigError, ValidationError, checked_array, checked_float, checked_int
 
 DEFAULT_K = 10
 DEFAULT_SMOOTHING = 1.0
@@ -36,25 +36,21 @@ class MlknnModel:
     train_neighbors: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        points = checked_matrix("train_points", self.train_points, np.float64)
-        labels = checked_matrix("train_labels", self.train_labels, bool)
-        prior = np.ascontiguousarray(self.prior_pos, dtype=np.float64)
-        fpos = np.ascontiguousarray(self.freq_pos, dtype=np.int64)
-        fneg = np.ascontiguousarray(self.freq_neg, dtype=np.int64)
-        n, _ = points.shape
+        k = checked_int("k_neighbors", self.k_neighbors, 1)
+        object.__setattr__(self, "k_neighbors", k)
+        object.__setattr__(self, "smoothing", checked_smoothing(self.smoothing, k))
+        points = checked_array("train_points", self.train_points, np.float64, (None, None))
+        n = points.shape[0]
+        labels = checked_array("train_labels", self.train_labels, bool, (n, None))
         r = labels.shape[1]
-        k = self.k_neighbors
-        if labels.shape[0] != n:
-            raise ValidationError("train_points and train_labels row counts differ")
-        if fpos.shape != (r, k + 1) or fneg.shape != (r, k + 1):
-            raise ValidationError("frequency tables must have shape (labels, k+1)")
+        prior = checked_array("prior_pos", self.prior_pos, np.float64, (r,))
+        fpos = checked_array("freq_pos", self.freq_pos, np.int64, (r, k + 1))
+        fneg = checked_array("freq_neg", self.freq_neg, np.int64, (r, k + 1))
         pos_totals = labels.sum(axis=0)
         if not np.array_equal(fpos.sum(axis=1), pos_totals):
             raise ValidationError("freq_pos rows must sum to the per-label positive counts")
         if not np.array_equal(fneg.sum(axis=1), n - pos_totals):
             raise ValidationError("freq_neg rows must sum to the per-label negative counts")
-        if prior.shape != (r,):
-            raise ValidationError("prior_pos must have shape (labels,)")
         if not np.all((prior > 0.0) & (prior < 1.0)):
             raise ValidationError("smoothed priors must lie strictly inside (0, 1)")
         for arr, name in ((points, "train_points"), (labels, "train_labels"),
@@ -62,9 +58,7 @@ class MlknnModel:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.train_neighbors is not None:
-            table = np.ascontiguousarray(self.train_neighbors, dtype=np.int64)
-            if table.shape != (n, k):
-                raise ValidationError("train_neighbors must have shape (instances, k)")
+            table = checked_array("train_neighbors", self.train_neighbors, np.int64, (n, k))
             table.setflags(write=False)
             object.__setattr__(self, "train_neighbors", table)
 
@@ -99,14 +93,12 @@ def fit_mlknn(points, labels, k_neighbors: int = DEFAULT_K,
     the instance itself excluded; distance ties go to the lower training
     index. The model keeps each row's neighbors, itself included, as ``train_neighbors``.
     """
-    points = checked_matrix("points", points, np.float64, finite=True)
-    labels = checked_matrix("labels", labels, bool)
+    points = checked_array("points", points, np.float64, (None, None), finite=True)
     n = points.shape[0]
+    labels = checked_array("labels", labels, bool, (n, None))
     r = labels.shape[1]
     k = checked_int("k_neighbors", k_neighbors, 1)
     s = checked_smoothing(smoothing, k)
-    if labels.shape[0] != n:
-        raise ValidationError("points and labels row counts differ")
     if n < 2:
         raise ConfigError("fitting needs at least 2 instances")
     if k >= n:
@@ -139,7 +131,7 @@ def fit_mlknn(points, labels, k_neighbors: int = DEFAULT_K,
 
 def posterior_scores(model: MlknnModel, query) -> np.ndarray:
     """Posterior probability of each label for each row of a finite query matrix."""
-    q = checked_matrix("query", query, np.float64, model.dim, finite=True)
+    q = checked_array("query", query, np.float64, (None, model.dim), finite=True)
     if model.train_neighbors is not None and np.array_equal(q, model.train_points):
         neighbors = model.train_neighbors  # the training rows: reuse the fit's search
     else:

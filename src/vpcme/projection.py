@@ -9,13 +9,14 @@ maximizer keeps the eigenvectors of the difference matrix whose
 eigenvalues are non-negative.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constraints import PairConstraintSets
 from .dataset import MultiLabelDataset
-from .errors import ValidationError, checked_matrix
+from .errors import ValidationError, checked_array, checked_float
 
 
 @dataclass(frozen=True)
@@ -34,11 +35,12 @@ class ProjectionModel:
     scaling_r: float
 
     def __post_init__(self):
-        w = checked_matrix("w", self.w, np.float64)
-        eigenvalues = np.ascontiguousarray(self.eigenvalues, dtype=np.float64)
+        w = checked_array("w", self.w, np.float64, (None, None))
         k, d = w.shape
-        if eigenvalues.shape != (d,):
-            raise ValidationError("projection needs one eigenvalue per column")
+        eigenvalues = checked_array("eigenvalues", self.eigenvalues, np.float64, (d,), finite=True)
+        scaling_r = checked_float("scaling_r", self.scaling_r)
+        if not math.isfinite(scaling_r):
+            raise ValidationError(f"scaling_r must be finite, got {scaling_r}")
         if not 1 <= d <= k:
             raise ValidationError(f"reduced dimension {d} outside [1, {k}]")
         gram = w.T @ w
@@ -50,6 +52,7 @@ class ProjectionModel:
         eigenvalues.setflags(write=False)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "scaling_r", scaling_r)
 
     @property
     def reduced_dim(self) -> int:
@@ -103,7 +106,7 @@ def symmetric_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     eigenvector's first largest-magnitude component is made positive so
     repeated runs are bit-identical.
     """
-    a = checked_matrix("a", a, np.float64)
+    a = checked_array("a", a, np.float64, (None, None))
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] and np.max(np.abs(a - a.T)) > 1e-8:
@@ -136,4 +139,4 @@ def fit_projection(ds: MultiLabelDataset, sets: PairConstraintSets) -> Projectio
 
 def transform(model: ProjectionModel, x) -> np.ndarray:
     """Project an n-by-``model.input_dim`` matrix of rows into the reduced space."""
-    return checked_matrix("x", x, np.float64, model.input_dim) @ model.w
+    return checked_array("x", x, np.float64, (None, model.input_dim)) @ model.w

@@ -5,9 +5,10 @@ infinities included) raise ``ConfigError``. Threshold and smoothing
 arguments follow another: a Python or numpy real in the entry's range,
 stored as ``float``; bools, strings and None raise ``ConfigError``. Bool
 settings take a Python or numpy bool, stored as ``bool``, and nothing
-else. Matrix arguments take a rectangular 2-D array of numbers, of the
-entry's width and finite where the entry says so, and raise
-``ValidationError`` otherwise."""
+else. Array arguments (matrices, vectors and tables) take a rectangular
+array of numbers with the entry's number of dimensions and fixed sizes,
+finite where the entry says so, integers where it wants integers and 0/1
+where it wants bools, and raise ``ValidationError`` otherwise."""
 
 import json
 import math
@@ -23,19 +24,25 @@ from vpcme import (
     ConstraintConfig,
     ExperimentConfig,
     MultiLabelDataset,
+    PairConstraintSets,
     ProjectionModel,
     SweepSpec,
     VpcmeConfig,
+    f1_metric,
     fit_mlknn,
     hamming_loss,
     kfold_split,
+    label_overlap_ratio,
     load_csv,
     load_features,
     load_model,
+    paired_t_test,
     posterior_scores,
     predict_ensemble,
     rank_from_scores,
     ranking_loss,
+    recall,
+    sample_constraints,
     save_csv,
     save_model,
     symmetric_eigen,
@@ -44,7 +51,7 @@ from vpcme import (
     transform,
 )
 from vpcme.cli import main
-from vpcme.errors import ConfigError, ValidationError, checked_bool, checked_float, checked_int
+from vpcme.errors import ConfigError, ValidationError, checked_array, checked_bool, checked_float, checked_int
 
 POINTS = np.arange(16, dtype=np.float64).reshape(8, 2) ** 1.5
 LABELS = np.array([[i % 2 == 0, i % 3 == 0] for i in range(8)])
@@ -384,20 +391,27 @@ MATRIX_ENTRY_POINTS = {
 
 def string_cell(good):
     rows = good.tolist()
-    rows[0][0] = "x"
+    (rows if good.ndim == 1 else rows[0])[0] = "x"
     return rows
 
 
 def ragged(good):
     rows = good.tolist()
-    rows[0].append(rows[0][0])
+    if good.ndim == 1:
+        rows[0] = [rows[0]]
+    else:
+        rows[0].append(rows[0][0])
     return rows
 
 
-def nan_cell(good):
+def with_cell(good, value):
     bad = good.astype(np.float64)
-    bad[0, 0] = math.nan
+    bad.flat[0] = value
     return bad
+
+
+def nan_cell(good):
+    return with_cell(good, math.nan)
 
 
 MALFORMED = {
@@ -424,9 +438,9 @@ def test_matrix_arguments_follow_one_rule(entry, malformed):
 def test_a_row_the_scaler_overflows_is_rejected():
     scaler = (np.zeros(2), np.full(2, 1e-300))
     model = replace(MODEL, scaler=scaler)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValidationError, match="non-finite"):
-            predict_ensemble(model, np.array([[1e10, 0.0]]))
+    message = "x has a row that the model's scaler takes to non-finite values"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        predict_ensemble(model, np.array([[1e10, 0.0]]))
 
 
 def test_model_file_with_non_finite_features_is_rejected(tmp_path, capsys):
@@ -444,3 +458,204 @@ def test_model_file_with_non_finite_features_is_rejected(tmp_path, capsys):
     capsys.readouterr()
     assert main(["predict", "--model", path, "--data", data_path, "--labels", "2"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Vector and table arguments, and matrices whose size is fixed by another
+# argument: each entry point takes a well-formed array and rejects, with
+# ValidationError, a string cell, a ragged list, one dimension fewer or more,
+# an entry short along a fixed axis, and a NaN where it asks for finite entries.
+
+WEIGHTS = np.full(8, 1 / 8)
+PAIRS = np.array([[0, 1], [2, 3]])
+SERIES = np.array([1.0, 2.0, 4.0])
+OTHER_SERIES = np.array([1.5, 2.25, 3.0])
+
+
+def sample(weights):
+    return sample_constraints(DATASET, weights, ConstraintConfig(0.5, 2, 2), np.random.default_rng(0))
+
+
+# entry point -> (a valid value, call, finite entries required, the axis
+# whose size another argument fixes, or None)
+ARRAY_ENTRY_POINTS = {
+    "ProjectionModel.eigenvalues": (PROJECTION.eigenvalues, lambda v: replace(PROJECTION, eigenvalues=v),
+                                    True, 0),
+    "MlknnModel.prior_pos": (CLASSIFIER.prior_pos, lambda v: replace(CLASSIFIER, prior_pos=v), False, 0),
+    "MlknnModel.freq_pos": (CLASSIFIER.freq_pos, lambda v: replace(CLASSIFIER, freq_pos=v), False, 1),
+    "MlknnModel.freq_neg": (CLASSIFIER.freq_neg, lambda v: replace(CLASSIFIER, freq_neg=v), False, 1),
+    "MlknnModel.train_neighbors": (CLASSIFIER.train_neighbors,
+                                   lambda v: replace(CLASSIFIER, train_neighbors=v), False, 0),
+    "MlknnModel.train_labels": (LABELS, lambda v: replace(CLASSIFIER, train_labels=v), False, 0),
+    "fit_mlknn.labels": (LABELS, lambda v: fit_mlknn(POINTS, v, 2), False, 0),
+    "MultiLabelDataset.labels": (LABELS, lambda v: MultiLabelDataset(POINTS, v), False, 0),
+    "MultiLabelDataset.subset": (np.array([0, 3]), DATASET.subset, False, None),
+    "VpcmeModel.features": (POINTS, lambda v: replace(MODEL, features=v), True, 0),
+    "VpcmeModel.scaler.mean": (np.zeros(2), lambda v: replace(MODEL, scaler=(v, np.ones(2))), True, 0),
+    "VpcmeModel.scaler.scale": (np.ones(2), lambda v: replace(MODEL, scaler=(np.zeros(2), v)), True, 0),
+    "sample_constraints.weights": (WEIGHTS, sample, True, 0),
+    "PairConstraintSets.must": (PAIRS, lambda v: PairConstraintSets(must=v, cannot=PAIRS), False, 1),
+    "PairConstraintSets.cannot": (PAIRS, lambda v: PairConstraintSets(must=PAIRS, cannot=v), False, 1),
+    "paired_t_test.a": (SERIES, lambda v: paired_t_test(v, OTHER_SERIES), True, None),
+    "paired_t_test.b": (OTHER_SERIES, lambda v: paired_t_test(SERIES, v), True, 0),
+    "hamming_loss.bipartitions": (LABELS, lambda v: hamming_loss(LABELS, v), False, 0),
+    "f1_metric.bipartitions": (LABELS, lambda v: f1_metric(LABELS, v), False, 0),
+    "recall.bipartitions": (LABELS, lambda v: recall(LABELS, v), False, 0),
+    "ranking_loss.ranks": (RANKS, lambda v: ranking_loss(LABELS, v), False, 0),
+    "label_overlap_ratio.labels_i": (LABELS[0], lambda v: label_overlap_ratio(v, LABELS[1]), False, None),
+    "label_overlap_ratio.labels_j": (LABELS[1], lambda v: label_overlap_ratio(LABELS[0], v), False, 0),
+    "label_overlap_ratio.label_matrix": (LABELS, lambda v: label_overlap_ratio(LABELS, v), False, 0),
+}
+
+
+def one_short(good, axis):
+    return np.take(good, np.arange(good.shape[axis] - 1), axis=axis)
+
+
+ARRAY_MALFORMED = {
+    "string-cell": (string_cell, "rectangular (vector|matrix) of numbers"),
+    "ragged": (ragged, "rectangular (vector|matrix) of numbers"),
+    "fewer-dims": (lambda good: good[0], r"\d-D"),
+    "more-dims": (lambda good: good[None], r"\d-D"),
+    "one-short": (one_short, "of shape"),
+    "nan": (nan_cell, "non-finite"),
+}
+
+
+@pytest.mark.parametrize("malformed", sorted(ARRAY_MALFORMED))
+@pytest.mark.parametrize("entry", sorted(ARRAY_ENTRY_POINTS))
+def test_array_arguments_follow_one_rule(entry, malformed):
+    good, call, finite, axis = ARRAY_ENTRY_POINTS[entry]
+    make, message = ARRAY_MALFORMED[malformed]
+    call(good)
+    if (malformed == "nan" and not finite) or (malformed == "one-short" and axis is None):
+        return
+    bad = make(good, axis) if malformed == "one-short" else make(good)
+    with pytest.raises(ValidationError, match=message):
+        call(bad)
+
+
+# Bool arrays take bools, or numbers that are all 0 or 1; integer arrays take
+# integers only, as checked_int does.
+
+CALLS = {name: entry[:2] for table in (MATRIX_ENTRY_POINTS, ARRAY_ENTRY_POINTS) for name, entry in table.items()}
+
+
+def entries_of_kind(kind):
+    return sorted(name for name, (good, _) in CALLS.items() if good.dtype.kind == kind)
+
+
+@pytest.mark.parametrize("entry", entries_of_kind("b"))
+def test_bool_arrays_take_bools_or_zeros_and_ones(entry):
+    good, call = CALLS[entry]
+    call(good.astype(np.int64))
+    call(good.astype(np.float64))
+    for cell in (2, 0.5, -1, math.nan):
+        with pytest.raises(ValidationError, match="must hold bools or 0/1 entries only"):
+            call(with_cell(good, cell))
+
+
+@pytest.mark.parametrize("entry", entries_of_kind("i"))
+def test_integer_arrays_take_integers_only(entry):
+    good, call = CALLS[entry]
+    call(good.astype(np.int32))
+    for bad in (with_cell(good, 1.5), good.astype(np.float64), good.astype(bool)):
+        with pytest.raises(ValidationError, match="must hold integers, got "):
+            call(bad)
+
+
+def test_checked_array_wording():
+    with pytest.raises(ValidationError, match=re.escape("w must be a 1-D vector of shape (any,), got shape ()")):
+        checked_array("w", 1.0, np.float64, (None,))
+    with pytest.raises(ValidationError, match=re.escape("t must be a 3-D array of shape (2, any, 1), got shape (2,)")):
+        checked_array("t", [1, 2], np.int64, (2, None, 1))
+    with pytest.raises(ValidationError, match="^t must hold integers, got float64 entries$"):
+        checked_array("t", [1.0, 2.0], np.int64, (2,))
+    got = checked_array("t", [[1, 0]], bool, (1, 2))
+    assert got.dtype == bool and got.flags.c_contiguous and got.tolist() == [[True, False]]
+
+
+# One regression test per array that used to be taken silently, truncated,
+# or rejected only by a raw numpy error.
+
+
+def test_label_matrices_take_only_zeros_and_ones():
+    with pytest.raises(ValidationError, match="^labels must hold bools or 0/1 entries only$"):
+        MultiLabelDataset(np.zeros((2, 1)), [[2, 0.5], [0, -1]])
+
+
+def test_a_bipartition_takes_only_zeros_and_ones():
+    with pytest.raises(ValidationError, match="^bipartitions must hold bools or 0/1 entries only$"):
+        hamming_loss([[1, 0]], [[7, 0.2]])
+
+
+def test_nan_weights_are_rejected():
+    weights = WEIGHTS.copy()
+    weights[0] = math.nan
+    with pytest.raises(ValidationError, match="^weights vector contains non-finite values$"):
+        sample(weights)
+
+
+def test_a_nan_t_test_series_is_rejected():
+    with pytest.raises(ValidationError, match="^a vector contains non-finite values$"):
+        paired_t_test([math.nan, 1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("indices", [[1.7], [1.0], [True, False] * 4], ids=["fraction", "whole-float", "mask"])
+def test_subset_takes_integer_indices_only(indices):
+    with pytest.raises(ValidationError, match="^indices must hold integers, got "):
+        DATASET.subset(indices)
+
+
+def test_a_fractional_frequency_table_is_rejected():
+    with pytest.raises(ValidationError, match="^freq_pos must hold integers, got float64 entries$"):
+        replace(CLASSIFIER, freq_pos=CLASSIFIER.freq_pos + 0.5)
+
+
+def test_nan_eigenvalues_are_rejected():
+    with pytest.raises(ValidationError, match="^eigenvalues vector contains non-finite values$"):
+        ProjectionModel(w=np.eye(2), eigenvalues=[math.nan, 1.0], scaling_r=1.0)
+
+
+def test_an_empty_pair_list_needs_its_two_columns():
+    with pytest.raises(ValidationError, match=re.escape("must-link pairs must be a 2-D matrix of shape (any, 2)")):
+        PairConstraintSets(must=[], cannot=PAIRS)
+    assert PairConstraintSets(must=np.empty((0, 2), np.int64), cannot=PAIRS).n_must == 0
+
+
+# The model types check their own scalars, as the configs do.
+
+
+@pytest.mark.parametrize("smoothing, message", [
+    (-1.0, "smoothing must be finite and positive, got -1.0"),
+    (math.nan, "smoothing must be finite and positive, got nan"),
+    ("x", "smoothing must be a real number, got 'x'"),
+])
+def test_mlknn_model_checks_its_smoothing(smoothing, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        replace(CLASSIFIER, smoothing=smoothing)
+
+
+def test_mlknn_model_checks_its_k_before_using_it():
+    with pytest.raises(ConfigError, match="^k_neighbors must be an integer, got 2.5$"):
+        replace(CLASSIFIER, k_neighbors=2.5)
+    got = replace(CLASSIFIER, k_neighbors=np.int64(2), smoothing=np.float32(1))
+    assert type(got.k_neighbors) is int and type(got.smoothing) is float
+
+
+def test_projection_model_checks_its_scaling_r(tmp_path):
+    with pytest.raises(ConfigError, match="^scaling_r must be a real number, got 'x'$"):
+        replace(PROJECTION, scaling_r="x")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match=f"^scaling_r must be finite, got {bad}$"):
+            replace(PROJECTION, scaling_r=bad)
+    model = replace(MODEL, members=((replace(PROJECTION, scaling_r=np.float32(2)), CLASSIFIER),))
+    assert type(model.members[0][0].scaling_r) is float
+    save_model(model, str(tmp_path / "model.npz"))
+    assert load_model(str(tmp_path / "model.npz")).members[0][0].scaling_r == 2.0
+
+
+def test_the_scaler_keeps_the_callers_arrays_writable():
+    mean, scale = np.zeros(2), np.ones(2)
+    model = replace(MODEL, scaler=(mean, scale))
+    assert mean.flags.writeable and scale.flags.writeable
+    assert not model.scaler[0].flags.writeable and not model.scaler[1].flags.writeable

@@ -489,11 +489,11 @@ class TestEntryPoint:
     @pytest.mark.parametrize(
         "key,edit,message",
         [
-            ("scaler_scale", lambda a: a[:2], "scaler mean and scale must have shape (3,)"),
-            ("scaler_scale", lambda a: np.zeros_like(a), "its scale finite and positive"),
-            ("m0_prior_pos", lambda a: np.full(5, 0.5), "prior_pos must have shape (labels,)"),
+            ("scaler_scale", lambda a: a[:2], "scaler scale must be a 1-D vector of shape (3,)"),
+            ("scaler_scale", lambda a: np.zeros_like(a), "scaler scale must be positive"),
+            ("m0_prior_pos", lambda a: np.full(5, 0.5), "prior_pos must be a 1-D vector of shape (3,)"),
             ("scaler_mean", None, "no 'scaler_mean' array"),
-            ("features", lambda a: a[:-1], "'features' and 'labels' row counts differ"),
+            ("features", lambda a: a[:-1], "train_labels must be a 2-D matrix of shape (44, any)"),
             ("features", None, "no 'features' array"),
         ],
         ids=["scale-short", "scale-zero", "prior-long", "scale-alone", "features-short",

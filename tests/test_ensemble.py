@@ -506,7 +506,8 @@ class TestModelValidation:
     def test_features_and_member_settings_must_fit_the_members(self):
         ds = small_dataset(seed=43)
         model = train_vpcme(ds, quick_cfg(ensemble_size=1))
-        with pytest.raises(ValidationError, match="features must have one row per training row"):
+        message = f"features must be a 2-D matrix of shape {ds.features.shape}, got shape {ds.features[:-1].shape}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             replace(model, features=ds.features[:-1])
         with pytest.raises(ValidationError, match="features.*matrix"):
             replace(model, features=None)

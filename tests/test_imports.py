@@ -1,6 +1,8 @@
 """The package's modules do not import each other's private helpers: no
 ``from .x import _name`` and no ``mod._name`` on a sibling module bound by
-``from . import mod``. Dunder names such as ``__version__`` are not helpers."""
+``from . import mod``. Dunder names such as ``__version__`` are not helpers.
+Every name a module imports from a sibling is used in it; ``__init__.py``,
+whose imports are the package's public names, is exempt."""
 
 import ast
 from pathlib import Path
@@ -58,3 +60,32 @@ def test_both_kinds_of_private_use_are_caught():
         (6, "_kernels._brute_force"),
         (7, "ds._parse"),
     ]
+
+
+def unused_sibling_imports(source):
+    """(line, name) of each name imported from a sibling module and never used."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}),
+                         ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports_from_a_sibling(path):
+    assert unused_sibling_imports(path.read_text()) == []
+
+
+def test_an_unused_sibling_import_is_caught():
+    source = (
+        "import numpy as np\n"
+        "from . import _kernels, dataset as ds\n"
+        "from .errors import ValidationError, checked_int\n"
+        "def f(x: ds.MultiLabelDataset):\n"
+        "    raise ValidationError(_kernels.knn(x))\n"
+    )
+    assert unused_sibling_imports(source) == [(3, "checked_int")]
