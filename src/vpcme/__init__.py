@@ -26,6 +26,8 @@ from .ensemble import (
     VpcmeConfig,
     VpcmeModel,
     load_model,
+    majority_vote,
+    member_scores,
     predict_ensemble,
     save_model,
     train_single_mlknn,

@@ -8,6 +8,7 @@ per-instance weights, which is how the boosting loop steers later members
 toward the samples it got wrong.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +46,16 @@ class ConstraintConfig:
 
 @dataclass(frozen=True)
 class PairConstraintSets:
-    """Ordered (i, j) index pairs; duplicates across draws are allowed."""
+    """Ordered (i, j) pairs of non-negative indices; duplicates across draws
+    are allowed. The dataset they index bounds them from above, in
+    :func:`~vpcme.projection.scatter_matrices`."""
 
     must: np.ndarray
     cannot: np.ndarray
 
     def __post_init__(self):
-        must = checked_array("must-link pairs", self.must, np.int64, (None, 2))
-        cannot = checked_array("cannot-link pairs", self.cannot, np.int64, (None, 2))
+        must = checked_array("must-link pairs", self.must, np.int64, (None, 2), bound=math.inf)
+        cannot = checked_array("cannot-link pairs", self.cannot, np.int64, (None, 2), bound=math.inf)
         if must.size and np.any(must[:, 0] == must[:, 1]):
             raise ValidationError("must-link pairs may not pair an instance with itself")
         if cannot.size and np.any(cannot[:, 0] == cannot[:, 1]):

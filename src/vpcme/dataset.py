@@ -48,8 +48,9 @@ class MultiLabelDataset:
         return self.labels.shape[1]
 
     def subset(self, indices) -> "MultiLabelDataset":
-        """New dataset restricted to the given instance indices, in order."""
-        idx = checked_array("indices", indices, np.int64, (None,))
+        """New dataset restricted to the given instance indices, in order;
+        each index lies in ``[0, instance_count)``."""
+        idx = checked_array("indices", indices, np.int64, (None,), bound=self.instance_count)
         return MultiLabelDataset(self.features[idx], self.labels[idx])
 
 

@@ -62,7 +62,7 @@ class VpcmeModel:
 
     ``training_log`` holds one (error_rate, reduced_dim, n_must, n_cannot)
     tuple per member. ``scaler`` is None or the (mean, scale) pair that
-    :func:`predict_ensemble` applies to every query, ``(x - mean) / scale``,
+    :func:`member_scores` applies to every query, ``(x - mean) / scale``,
     because the members were trained on features standardized that way.
     ``features`` holds the training rows, finite, as the members saw them
     (after any scaler); each member's classifier holds them projected through its W.
@@ -179,14 +179,12 @@ def train_single_mlknn(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
     )
 
 
-def predict_ensemble(model: VpcmeModel, x):
-    """Majority-vote bipartition plus mean posterior scores.
+def member_scores(model: VpcmeModel, x) -> list:
+    """Each member's posterior score matrix for ``x``, in member order.
 
-    A label is predicted when strictly more than half the members vote for
-    it; an exact half split falls back to the mean score against 0.5.
     Takes a finite matrix of raw feature rows; a model with a scaler
-    standardizes them itself. Members score on ``parallel_map``'s thread
-    pool; votes and scores add up in member order.
+    standardizes them itself, once for all members. Members score on
+    ``parallel_map``'s thread pool.
     """
     arr = checked_array("x", x, np.float64, (None, model.feature_count), finite=True)
     if model.scaler is not None:
@@ -195,20 +193,40 @@ def predict_ensemble(model: VpcmeModel, x):
             arr = (arr - mean) / scale
         if not np.isfinite(arr).all():
             raise ValidationError("x has a row that the model's scaler takes to non-finite values")
-    s = len(model.members)
-    votes = np.zeros((arr.shape[0], model.label_count), dtype=np.int64)
-    score_sum = np.zeros((arr.shape[0], model.label_count))
 
     def score(member):
         proj, classifier = member
         return posterior_scores(classifier, transform(proj, arr))
 
-    for member_scores in parallel_map(score, model.members):
-        votes += member_scores > 0.5
-        score_sum += member_scores
+    return parallel_map(score, model.members)
+
+
+def majority_vote(scores):
+    """Majority-vote bipartition plus mean scores over a non-empty list of
+    equally shaped, finite member score matrices.
+
+    A label is predicted when strictly more than half the members vote for
+    it (score above 0.5); an exact half split falls back to the mean score
+    against 0.5. Votes and scores add up in list order.
+    """
+    stack = checked_array("scores", scores, np.float64, (None, None, None), finite=True)
+    s = stack.shape[0]
+    if s == 0:
+        raise ValidationError("scores must hold at least one member's matrix")
+    votes = np.zeros(stack.shape[1:], dtype=np.int64)
+    score_sum = np.zeros(stack.shape[1:])
+    for member in stack:
+        votes += member > 0.5
+        score_sum += member
     mean_scores = score_sum / s
     bipartition = (2 * votes > s) | ((2 * votes == s) & (mean_scores > 0.5))
     return bipartition, mean_scores
+
+
+def predict_ensemble(model: VpcmeModel, x):
+    """Majority-vote bipartition plus mean posterior scores of all the
+    model's members: ``majority_vote(member_scores(model, x))``."""
+    return majority_vote(member_scores(model, x))
 
 
 def save_model(model: VpcmeModel, path) -> None:
@@ -243,8 +261,9 @@ def load_model(path):
     at one BLAS thread, the bits training computed. A file that is not a
     ``vpcme-model/2`` archive (one in an older layout included), lacks one
     of its arrays, or holds one that does not decode or that the model types
-    reject (a shape at odds with the rest of the model, or a non-finite
-    ``features`` entry, say) raises ``ValidationError`` naming it.
+    reject (a shape at odds with the rest of the model, a non-finite
+    ``features`` entry, or a config setting out of range, say) raises
+    ``ValidationError`` naming it.
     """
     bad = f"{path}: not a {MODEL_FORMAT} model file"
     try:
@@ -284,5 +303,5 @@ def load_model(path):
             return VpcmeModel(tuple(members), cfg, log, features, scaler)
         except KeyError as exc:
             raise ValidationError(f"{bad}, no {exc.args[0]!r} array") from None
-        except (ValidationError, ValueError, TypeError, IndexError) as exc:
+        except (ValidationError, ConfigError, ValueError, TypeError, IndexError) as exc:
             raise ValidationError(f"{bad}: {exc}") from exc

@@ -61,11 +61,12 @@ def checked_bool(name, value):
     return bool(value)
 
 
-def checked_array(name, value, dtype, shape, finite=False):
+def checked_array(name, value, dtype, shape, finite=False, bound=None):
     """``value`` as a C-contiguous ``dtype`` array of ``shape`` (a ``None`` size
     takes any size), else ``ValidationError``: a rectangular array of numbers,
     of integers (not floats or bools) for an integer ``dtype``, of bools or
-    0/1 for ``bool``, and finite if ``finite``."""
+    0/1 for ``bool``, finite if ``finite``, and with every entry in
+    ``[0, bound)`` if ``bound`` is given (``math.inf`` for any index)."""
     kind = {1: "vector", 2: "matrix"}.get(len(shape), "array")
     try:
         array = np.asarray(value)
@@ -85,4 +86,7 @@ def checked_array(name, value, dtype, shape, finite=False):
     array = np.ascontiguousarray(array, dtype=target)
     if finite and not np.isfinite(array).all():
         raise ValidationError(f"{name} {kind} contains non-finite values")
+    if bound is not None and not ((array >= 0) & (array < bound)).all():
+        bad = array[(array < 0) | (array >= bound)][0]
+        raise ValidationError(f"{name} must hold entries in [0, {bound}), got {bad}")
     return array

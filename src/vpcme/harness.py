@@ -18,7 +18,7 @@ import numpy as np
 from ._kernels import parallel_map
 from ._ttable import critical_value
 from .dataset import MultiLabelDataset, kfold_split
-from .ensemble import VpcmeConfig, predict_ensemble, train_single_mlknn, train_vpcme
+from .ensemble import VpcmeConfig, majority_vote, member_scores, train_single_mlknn, train_vpcme
 from .errors import ConfigError, ValidationError, checked_array, checked_bool, checked_float, checked_int
 from .metrics import HIGHER_IS_BETTER, METRIC_NAMES, evaluate_all
 
@@ -147,7 +147,7 @@ def train_method(cfg: ExperimentConfig, train_ds: MultiLabelDataset, seed: int):
 
     Returns the :class:`VpcmeModel`. With ``cfg.zscore`` the features are
     standardized first and the model carries the (mean, scale) pair as its
-    ``scaler``, so :func:`predict_ensemble` takes raw features either way.
+    ``scaler``, so :func:`member_scores` takes raw features either way.
     """
     scaler = None
     if cfg.zscore:
@@ -169,10 +169,11 @@ def cross_validate(cfg: ExperimentConfig, dataset: MultiLabelDataset) -> Evaluat
 def _cross_validate(cfg, dataset, sizes):
     """One :func:`cross_validate` report per ensemble size in ``sizes``.
 
-    Each fold unit trains once, at the largest size, and scores the model
-    cut to its first s members for each s: member l's stream and weights do
-    not depend on the ensemble size, so that cut is an s-member ensemble.
-    An ``mlknn_single`` model has one member, which every size keeps.
+    Each fold unit trains once, at the largest size, scores each member
+    once with :func:`member_scores`, and takes the :func:`majority_vote` of
+    the first s members' scores for each s: member l's stream and weights do
+    not depend on the ensemble size, so that vote is an s-member ensemble's
+    prediction. An ``mlknn_single`` model has one member, which every size keeps.
     """
     n = dataset.instance_count
     assignments = [kfold_split(n, cfg.folds, cfg.seed + repeat) for repeat in range(cfg.repeats)]
@@ -185,12 +186,6 @@ def _cross_validate(cfg, dataset, sizes):
     units = [(repeat, fold) for repeat in range(cfg.repeats) for fold in range(cfg.folds)]
     largest = replace(cfg, ensemble_size=max(sizes))
 
-    def first_members(model, s):
-        if s >= len(model.members):
-            return model
-        return replace(model, members=model.members[:s], training_log=model.training_log[:s],
-                       config=replace(model.config, ensemble_size=s))
-
     def run_unit(unit):
         repeat, fold = unit
         test_idx = assignments[repeat].test_indices(fold)
@@ -198,7 +193,8 @@ def _cross_validate(cfg, dataset, sizes):
         assert np.intersect1d(train_idx, test_idx).size == 0
         model = train_method(largest, dataset.subset(train_idx), _train_seed(cfg.seed, repeat, fold))
         truths, x = dataset.labels[test_idx], dataset.features[test_idx]
-        return [evaluate_all(truths, *predict_ensemble(first_members(model, s), x)) for s in sizes]
+        scores = member_scores(model, x)
+        return [evaluate_all(truths, *majority_vote(scores[:s])) for s in sizes]
 
     unit_results = parallel_map(run_unit, units)
     return [_report(cfg, units, [results[i] for results in unit_results]) for i in range(len(sizes))]

@@ -58,7 +58,7 @@ class MlknnModel:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.train_neighbors is not None:
-            table = checked_array("train_neighbors", self.train_neighbors, np.int64, (n, k))
+            table = checked_array("train_neighbors", self.train_neighbors, np.int64, (n, k), bound=n)
             table.setflags(write=False)
             object.__setattr__(self, "train_neighbors", table)
 

@@ -67,31 +67,27 @@ class ProjectionModel:
         return self.w.shape[0]
 
 
-def _pair_diffs(ds: MultiLabelDataset, pairs: np.ndarray) -> np.ndarray:
-    if pairs.shape[0] and int(pairs.max()) >= ds.instance_count:
-        raise ValidationError("constraint pair index out of range")
-    return ds.features[pairs[:, 0]] - ds.features[pairs[:, 1]]
-
-
 def scatter_matrices(ds: MultiLabelDataset, sets: PairConstraintSets) -> ScatterPair:
     """Average outer products of pair differences, and the scaling r.
 
     Empty lists give zero matrices. r is the mean squared cannot-link
     distance over the mean squared must-link distance; it falls back to 1.0
     when either list is empty or the must-link mean is 0. Each list's
-    differences are gathered once, for both its matrix and its mean.
+    differences are gathered once, for both its matrix and its mean. Every
+    pair index must lie in ``[0, ds.instance_count)``.
     """
     k = ds.feature_count
 
-    def one(pairs):
+    def one(name, pairs):
+        pairs = checked_array(name, pairs, np.int64, (None, 2), bound=ds.instance_count)
         if pairs.shape[0] == 0:
             return np.zeros((k, k)), 0.0
-        diffs = _pair_diffs(ds, pairs)
+        diffs = ds.features[pairs[:, 0]] - ds.features[pairs[:, 1]]
         m = pairs.shape[0]
         return diffs.T @ diffs / (2.0 * m), float((diffs**2).sum()) / m
 
-    s_cannot, mean_c = one(sets.cannot)
-    s_must, mean_m = one(sets.must)
+    s_cannot, mean_c = one("cannot-link pairs", sets.cannot)
+    s_must, mean_m = one("must-link pairs", sets.must)
     return ScatterPair(
         s_cannot=s_cannot,
         s_must=s_must,

@@ -36,6 +36,7 @@ from vpcme import (
     load_csv,
     load_features,
     load_model,
+    majority_vote,
     paired_t_test,
     posterior_scores,
     predict_ensemble,
@@ -45,6 +46,7 @@ from vpcme import (
     sample_constraints,
     save_csv,
     save_model,
+    scatter_matrices,
     symmetric_eigen,
     synthetic_dataset,
     train_single_mlknn,
@@ -469,6 +471,7 @@ WEIGHTS = np.full(8, 1 / 8)
 PAIRS = np.array([[0, 1], [2, 3]])
 SERIES = np.array([1.0, 2.0, 4.0])
 OTHER_SERIES = np.array([1.5, 2.25, 3.0])
+SCORES = np.linspace(0.05, 0.95, 3 * 8 * 2).reshape(3, 8, 2)  # three members' score matrices
 
 
 def sample(weights):
@@ -504,6 +507,7 @@ ARRAY_ENTRY_POINTS = {
     "label_overlap_ratio.labels_i": (LABELS[0], lambda v: label_overlap_ratio(v, LABELS[1]), False, None),
     "label_overlap_ratio.labels_j": (LABELS[1], lambda v: label_overlap_ratio(LABELS[0], v), False, 0),
     "label_overlap_ratio.label_matrix": (LABELS, lambda v: label_overlap_ratio(LABELS, v), False, 0),
+    "majority_vote.scores": (SCORES, majority_vote, True, None),
 }
 
 
@@ -512,8 +516,8 @@ def one_short(good, axis):
 
 
 ARRAY_MALFORMED = {
-    "string-cell": (string_cell, "rectangular (vector|matrix) of numbers"),
-    "ragged": (ragged, "rectangular (vector|matrix) of numbers"),
+    "string-cell": (string_cell, "rectangular (vector|matrix|array) of numbers"),
+    "ragged": (ragged, "rectangular (vector|matrix|array) of numbers"),
     "fewer-dims": (lambda good: good[0], r"\d-D"),
     "more-dims": (lambda good: good[None], r"\d-D"),
     "one-short": (one_short, "of shape"),
@@ -572,6 +576,11 @@ def test_checked_array_wording():
         checked_array("t", [1.0, 2.0], np.int64, (2,))
     got = checked_array("t", [[1, 0]], bool, (1, 2))
     assert got.dtype == bool and got.flags.c_contiguous and got.tolist() == [[True, False]]
+    with pytest.raises(ValidationError, match=re.escape("i must hold entries in [0, 3), got 3")):
+        checked_array("i", [[0, 3], [-1, 2]], np.int64, (None, 2), bound=3)
+    with pytest.raises(ValidationError, match=re.escape("i must hold entries in [0, inf), got -1")):
+        checked_array("i", [[0, 4], [-1, 2]], np.int64, (None, 2), bound=math.inf)
+    assert checked_array("i", [2, 0], np.int64, (2,), bound=3).tolist() == [2, 0]
 
 
 # One regression test per array that used to be taken silently, truncated,
@@ -604,6 +613,37 @@ def test_a_nan_t_test_series_is_rejected():
 def test_subset_takes_integer_indices_only(indices):
     with pytest.raises(ValidationError, match="^indices must hold integers, got "):
         DATASET.subset(indices)
+
+
+@pytest.mark.parametrize("index", [-1, 8], ids=["negative", "past-the-end"])
+def test_subset_takes_indices_of_its_rows_only(index):
+    with pytest.raises(ValidationError, match=re.escape(f"indices must hold entries in [0, 8), got {index}")):
+        DATASET.subset([0, index])
+
+
+def test_a_negative_pair_index_is_rejected():
+    with pytest.raises(ValidationError, match=re.escape("must-link pairs must hold entries in [0, inf), got -1")):
+        PairConstraintSets(must=[[0, -1]], cannot=PAIRS)
+
+
+def test_scatter_matrices_takes_pair_indices_of_its_rows_only():
+    sets = PairConstraintSets(must=PAIRS, cannot=[[0, 8]])
+    with pytest.raises(ValidationError, match=re.escape("cannot-link pairs must hold entries in [0, 8), got 8")):
+        scatter_matrices(DATASET, sets)
+
+
+@pytest.mark.parametrize("index", [-1, 8], ids=["negative", "past-the-end"])
+def test_a_neighbor_table_takes_indices_of_the_training_rows_only(index):
+    table = CLASSIFIER.train_neighbors.copy()
+    table[3, 1] = index
+    with pytest.raises(ValidationError, match=re.escape(f"train_neighbors must hold entries in [0, 8), got {index}")):
+        replace(CLASSIFIER, train_neighbors=table)
+
+
+@pytest.mark.parametrize("scores", [[], np.empty((0, 8, 2))], ids=["empty-list", "no-members"])
+def test_majority_vote_needs_a_member(scores):
+    with pytest.raises(ValidationError, match="^scores must "):
+        majority_vote(scores)
 
 
 def test_a_fractional_frequency_table_is_rejected():

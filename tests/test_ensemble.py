@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 
@@ -10,6 +11,8 @@ from vpcme.ensemble import (
     VpcmeConfig,
     VpcmeModel,
     load_model,
+    majority_vote,
+    member_scores,
     predict_ensemble,
     save_model,
     train_single_mlknn,
@@ -129,6 +132,7 @@ class TestTraining:
         # the first s members of one large ensemble are an s-member ensemble
         ds, x = small_dataset(seed=5), small_dataset(seed=6).features
         big = train_vpcme(ds, quick_cfg(ensemble_size=5, boosting_enabled=boosting))
+        scores = member_scores(big, x)
         for s in (1, 2, 4):
             small = train_vpcme(ds, quick_cfg(ensemble_size=s, boosting_enabled=boosting))
             assert big.training_log[:s] == small.training_log
@@ -139,6 +143,8 @@ class TestTraining:
                              training_log=big.training_log[:s])
             for want, got in zip(predict_ensemble(small, x), predict_ensemble(prefix, x)):
                 assert np.array_equal(want, got)
+            for want, got in zip(predict_ensemble(small, x), majority_vote(scores[:s]), strict=True):
+                assert (want.dtype, want.shape, want.tobytes()) == (got.dtype, got.shape, got.tobytes())
 
     def test_too_few_instances_for_k(self):
         ds = small_dataset(n=5)
@@ -281,6 +287,16 @@ class TestPrediction:
         expected = (votes == 2) | ((votes == 1) & (mean > 0.5))
         assert np.array_equal(bip, expected)
 
+    def test_majority_vote_breaks_an_exact_half_split_by_the_mean_score(self):
+        # four members, one row: labels 0-2 split 2 to 2, with mean scores
+        # 0.65, 0.35 and exactly 0.5; label 3 gets 3 votes of 4
+        scores = [[[0.9, 0.6, 0.75, 0.9]], [[0.9, 0.6, 0.75, 0.9]],
+                  [[0.4, 0.1, 0.25, 0.9]], [[0.4, 0.1, 0.25, 0.1]]]
+        bip, mean = majority_vote(scores)
+        assert bip.tolist() == [[True, False, False, True]]
+        assert mean[0, 2] == 0.5
+        assert np.allclose(mean, [[0.65, 0.35, 0.5, 0.7]])
+
     def test_single_member_identity(self):
         ds = small_dataset(seed=19)
         model = train_vpcme(ds, quick_cfg(ensemble_size=1))
@@ -398,6 +414,17 @@ class TestPersistence:
         scaler = load_model(path).scaler
         assert np.array_equal(scaler[0], mean)
         assert np.array_equal(scaler[1], scale)
+
+    def test_archive_with_an_out_of_range_setting_is_not_a_model(self, tmp_path):
+        path = str(tmp_path / "model.npz")
+        save_model(train_vpcme(small_dataset(seed=37), quick_cfg(ensemble_size=1)), path)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["config"] = json.dumps(dict(json.loads(str(arrays["config"])), theta=5))
+        np.savez(path, **arrays)
+        message = f"{path}: not a vpcme-model/2 model file: theta must lie in [0, 1], got 5.0"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_model(path)
 
 
     def test_csv_is_not_a_model(self, tmp_path):

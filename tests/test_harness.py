@@ -216,21 +216,29 @@ class TestRunSweep:
     @pytest.mark.parametrize("zscore", [False, True], ids=["raw", "zscore"])
     @pytest.mark.parametrize("method", harness.METHODS)
     def test_size_sweep_trains_each_fold_unit_once(self, method, zscore, monkeypatch):
-        # one training per (repeat, fold) at the largest size, not one per size;
-        # every size's report is the one cross_validate gives at that size
+        # one training and one scoring per (repeat, fold) at the largest size,
+        # not one per size; every size's report is the one cross_validate
+        # gives at that size
         ds = synthetic_dataset(45, 3, 3, seed=11, label_noise=0.1)
         cfg = ExperimentConfig(method=method, k_neighbors=5, folds=3, repeats=2, seed=4, zscore=zscore)
         sizes = (3, 1, 4, 3)
-        trained = []
-        train_method = harness.train_method
+        trained, scored = [], []
+        train_method, member_scores = harness.train_method, harness.member_scores
 
-        def spy(cfg, train_ds, seed):
+        def spy_train(cfg, train_ds, seed):
             trained.append(cfg.ensemble_size)
             return train_method(cfg, train_ds, seed)
 
-        monkeypatch.setattr(harness, "train_method", spy)
+        def spy_scores(model, x):
+            scored.append(len(model.members))
+            return member_scores(model, x)
+
+        monkeypatch.setattr(harness, "train_method", spy_train)
+        monkeypatch.setattr(harness, "member_scores", spy_scores)
         results = run_sweep(cfg, SweepSpec("ensemble_size", sizes), dataset=ds)
-        assert trained == [4] * (cfg.folds * cfg.repeats)
+        units = cfg.folds * cfg.repeats
+        assert trained == [4] * units
+        assert scored == [1 if method == "mlknn_single" else 4] * units
         monkeypatch.undo()
         assert [value for value, _ in results] == list(sizes)
         for value, report in results:
