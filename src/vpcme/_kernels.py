@@ -111,7 +111,8 @@ def knn(train, queries, k):
         b = q.shape[0]
         local = np.arange(b)
         q_sq = np.einsum("ij,ij->i", q, q)
-        approx = q_aug[start : start + b] @ screen.T  # |t|^2 - 2 q.t
+        with one_blas_thread():  # small: BLAS threads would only compete for the cores
+            approx = q_aug[start : start + b] @ screen.T  # |t|^2 - 2 q.t
         part = np.argpartition(approx, c, axis=1)
         nearest_outside = approx[local, part[:, c]] + q_sq
         cand = part[:, :c]
@@ -131,10 +132,8 @@ def knn(train, queries, k):
 # Thread pool for independent units (cross-validation folds, ensemble
 # members). The units are small GEMMs and single-threaded argpartitions, so
 # they gain from running side by side and lose when BLAS threads compete
-# with the pool's. numpy's bundled OpenBLAS is held at one thread while the
-# units run, pooled or inline, so the projections' bits (scatter products
-# and eigensolves, whose rounding follows BLAS's split of the work) do not
-# depend on the CPU count either.
+# with the pool's: numpy's bundled OpenBLAS is held at one thread while the
+# units run. The kNN screen holds it too, for speed; the projection, for its bits.
 # ---------------------------------------------------------------------------
 
 
@@ -213,7 +212,9 @@ def parallel_map(fn, items):
     nested calls start no second pool. Results come back in item order.
     The exception of the lowest item index that raises is raised as it
     is, once the items before it have finished; the items not yet started
-    by then are cancelled. BLAS is held at one thread either way.
+    by then are cancelled. BLAS is held at one thread either way, for
+    speed only: the bit-sensitive BLAS calls, in the projection, hold it
+    themselves.
     """
     items = list(items)
     workers = min(len(items), _cpu_count())

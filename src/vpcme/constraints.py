@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import MultiLabelDataset
-from .errors import ConfigError, ValidationError, checked_array, checked_float, checked_int
+from .errors import ConfigError, ValidationError, checked_array, checked_float, checked_int, frozen_array
 
 DEFAULT_ATTEMPT_FACTOR = 50
 # First sampling step covers this many times the combined targets in
@@ -44,7 +44,7 @@ class ConstraintConfig:
         object.__setattr__(self, "max_attempts", checked_int("max_attempts", attempts, targets))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairConstraintSets:
     """Ordered (i, j) pairs of non-negative indices; duplicates across draws
     are allowed. The dataset they index bounds them from above, in
@@ -54,14 +54,12 @@ class PairConstraintSets:
     cannot: np.ndarray
 
     def __post_init__(self):
-        must = checked_array("must-link pairs", self.must, np.int64, (None, 2), bound=math.inf)
-        cannot = checked_array("cannot-link pairs", self.cannot, np.int64, (None, 2), bound=math.inf)
+        must = frozen_array("must-link pairs", self.must, np.int64, (None, 2), bound=math.inf)
+        cannot = frozen_array("cannot-link pairs", self.cannot, np.int64, (None, 2), bound=math.inf)
         if must.size and np.any(must[:, 0] == must[:, 1]):
             raise ValidationError("must-link pairs may not pair an instance with itself")
         if cannot.size and np.any(cannot[:, 0] == cannot[:, 1]):
             raise ValidationError("cannot-link pairs may not pair an instance with itself")
-        must.setflags(write=False)
-        cannot.setflags(write=False)
         object.__setattr__(self, "must", must)
         object.__setattr__(self, "cannot", cannot)
 

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CsvFormatError, ValidationError, checked_array, checked_int
+from .errors import ConfigError, CsvFormatError, ValidationError, checked_array, checked_int, frozen_array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiLabelDataset:
     """Feature matrix plus boolean label matrix, immutable after creation."""
 
@@ -22,16 +22,14 @@ class MultiLabelDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        features = checked_array("features", self.features, np.float64, (None, None), finite=True)
-        labels = checked_array("labels", self.labels, bool, (features.shape[0], None))
+        features = frozen_array("features", self.features, np.float64, (None, None))
+        labels = frozen_array("labels", self.labels, bool, (features.shape[0], None))
         if features.shape[0] < 1:
             raise ValidationError("dataset needs at least one instance")
         if features.shape[1] < 1:
             raise ValidationError("dataset needs at least one feature column")
         if labels.shape[1] < 2:
             raise ValidationError("dataset needs at least two label columns")
-        features.setflags(write=False)
-        labels.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
@@ -64,11 +62,15 @@ class DatasetStats:
     density: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldAssignment:
-    """Round-robin deal of shuffled instances into test folds."""
+    """Round-robin deal of shuffled instances into test folds, by fold id."""
 
     fold_of_instance: np.ndarray
+
+    def __post_init__(self):
+        folds = frozen_array("fold_of_instance", self.fold_of_instance, np.int64, (None,), bound=math.inf)
+        object.__setattr__(self, "fold_of_instance", folds)
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_of_instance == fold)
@@ -182,12 +184,8 @@ def kfold_split(n: int, folds: int, seed: int) -> FoldAssignment:
     n, folds, seed = checked_int("n", n, 0), checked_int("folds", folds, 2), checked_int("seed", seed, 0)
     if folds > n:
         raise ConfigError(f"cannot split {n} instances into {folds} folds")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    perm = rng.permutation(n)
-    fold_of_instance = np.empty(n, dtype=np.int64)
-    fold_of_instance[perm] = np.arange(n) % folds
-    fold_of_instance.setflags(write=False)
-    return FoldAssignment(fold_of_instance=fold_of_instance)
+    perm = np.random.Generator(np.random.PCG64(seed)).permutation(n)
+    return FoldAssignment(fold_of_instance=np.argsort(perm) % folds)  # instance perm[i] gets fold i % folds
 
 
 def synthetic_dataset(

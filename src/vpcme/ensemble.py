@@ -14,10 +14,11 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._kernels import one_blas_thread, parallel_map
+from ._kernels import parallel_map
 from .constraints import ConstraintConfig, sample_constraints
 from .dataset import MultiLabelDataset
-from .errors import ConfigError, ValidationError, checked_array, checked_bool, checked_float, checked_int
+from .errors import (ConfigError, ValidationError, checked_array, checked_bool, checked_float,
+                     checked_int, frozen_array)
 from .mlknn import (
     DEFAULT_K,
     DEFAULT_SMOOTHING,
@@ -56,14 +57,15 @@ class VpcmeConfig:
         object.__setattr__(self, "boosting_enabled", checked_bool("boosting_enabled", self.boosting_enabled))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VpcmeModel:
     """Ordered (projection, classifier) members plus the training trace.
 
     ``training_log`` holds one (error_rate, reduced_dim, n_must, n_cannot)
-    tuple per member. ``scaler`` is None or the (mean, scale) pair that
-    :func:`member_scores` applies to every query, ``(x - mean) / scale``,
-    because the members were trained on features standardized that way.
+    row per member, given as a finite non-negative table and stored as
+    (float, int, int, int) tuples. ``scaler`` is None or the (mean, scale)
+    pair that :func:`member_scores` applies to every query, ``(x - mean) /
+    scale``, because the members were trained on features standardized that way.
     ``features`` holds the training rows, finite, as the members saw them
     (after any scaler); each member's classifier holds them projected through its W.
     """
@@ -87,26 +89,19 @@ class VpcmeModel:
                 raise ValidationError("members must share their feature and label counts")
             if (classifier.k_neighbors, classifier.smoothing) != (cfg.k_neighbors, cfg.smoothing):
                 raise ValidationError("members must use the config's k_neighbors and smoothing")
-        log = tuple(tuple(t) for t in self.training_log)
-        if len(log) != len(members):
-            raise ValidationError("training_log must hold one row per member")
+        log = checked_array("training_log", self.training_log, np.float64, (len(members), 4), bound=np.inf)
+        log = tuple((e, int(d), int(m), int(c)) for e, d, m, c in log.tolist())
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "training_log", log)
         if self.scaler is not None:
             mean, scale = self.scaler
-            width = (first_proj.input_dim,)
-            # copies, so that freezing them leaves the caller's arrays writable
-            mean = checked_array("scaler mean", mean, np.float64, width, finite=True).copy()
-            scale = checked_array("scaler scale", scale, np.float64, width, finite=True).copy()
+            mean = frozen_array("scaler mean", mean, np.float64, (first_proj.input_dim,))
+            scale = frozen_array("scaler scale", scale, np.float64, (first_proj.input_dim,))
             if not np.all(scale > 0.0):
                 raise ValidationError("scaler scale must be positive")
-            mean.setflags(write=False)
-            scale.setflags(write=False)
             object.__setattr__(self, "scaler", (mean, scale))
         shape = (first_classifier.train_points.shape[0], first_proj.input_dim)
-        features = checked_array("features", self.features, np.float64, shape, finite=True)
-        features.setflags(write=False)
-        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "features", frozen_array("features", self.features, np.float64, shape))
 
     @property
     def feature_count(self) -> int:
@@ -140,8 +135,8 @@ def _fit_classifier(points, labels, cfg):
 def train_vpcme(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
     """Train the full ensemble; member RNG streams derive from (seed, index).
 
-    BLAS runs at one thread throughout, so the model's bits do not depend on
-    the CPU count.
+    The projection holds BLAS at one thread, so the model's bits do not
+    depend on the CPU count.
     """
     n = ds.instance_count
     if n < max(2, cfg.k_neighbors + 1):
@@ -151,16 +146,15 @@ def train_vpcme(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
     weights = np.full(n, 1.0 / n)
     members = []
     log = []
-    with one_blas_thread():
-        for l in range(cfg.ensemble_size):
-            member, mis, sets = _fit_member(ds, weights, cfg, l)
-            error_rate = float(np.mean(mis))
-            if cfg.boosting_enabled and error_rate > 0.0:
-                weights = weights.copy()
-                weights[mis] *= 1.0 + error_rate
-                weights /= weights.sum()
-            members.append(member)
-            log.append((error_rate, member[0].reduced_dim, sets.n_must, sets.n_cannot))
+    for l in range(cfg.ensemble_size):
+        member, mis, sets = _fit_member(ds, weights, cfg, l)
+        error_rate = float(np.mean(mis))
+        if cfg.boosting_enabled and error_rate > 0.0:
+            weights = weights.copy()
+            weights[mis] *= 1.0 + error_rate
+            weights /= weights.sum()
+        members.append(member)
+        log.append((error_rate, member[0].reduced_dim, sets.n_must, sets.n_cannot))
     return VpcmeModel(tuple(members), cfg, tuple(log), features=ds.features)
 
 
@@ -168,8 +162,7 @@ def train_single_mlknn(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
     """Plain MLKNN on the raw features, wrapped as a one-member ensemble."""
     k = ds.feature_count
     identity = ProjectionModel(w=np.eye(k), eigenvalues=np.zeros(k), scaling_r=1.0)
-    with one_blas_thread():
-        classifier, mis = _fit_classifier(ds.features, ds.labels, cfg)
+    classifier, mis = _fit_classifier(ds.features, ds.labels, cfg)
     error_rate = float(np.mean(mis))
     return VpcmeModel(
         members=((identity, classifier),),
@@ -257,13 +250,13 @@ def save_model(model: VpcmeModel, path) -> None:
 def load_model(path):
     """Inverse of :func:`save_model`; returns the :class:`VpcmeModel`.
 
-    Each member's training points are rebuilt as ``transform(proj, features)``
-    at one BLAS thread, the bits training computed. A file that is not a
-    ``vpcme-model/2`` archive (one in an older layout included), lacks one
-    of its arrays, or holds one that does not decode or that the model types
-    reject (a shape at odds with the rest of the model, a non-finite
-    ``features`` entry, or a config setting out of range, say) raises
-    ``ValidationError`` naming it.
+    Each member's training points are rebuilt as ``transform(proj, features)``,
+    the bits training computed. A file that is not a ``vpcme-model/2``
+    archive (one in an older layout included), lacks one of its arrays, or
+    holds one that does not decode or that the model types reject (a shape
+    at odds with the rest of the model, a non-finite ``features`` or ``w``
+    entry, or a config setting out of range, say) raises ``ValidationError``
+    naming it.
     """
     bad = f"{path}: not a {MODEL_FORMAT} model file"
     try:
@@ -272,7 +265,7 @@ def load_model(path):
         data = None
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise ValidationError(bad)
-    with data, one_blas_thread():
+    with data:
         if "format" not in data or str(data["format"]) != MODEL_FORMAT:
             raise ValidationError(bad)
 
@@ -293,11 +286,12 @@ def load_model(path):
                     scaling_r=float(read(f"m{i}_scaling_r")),
                 )
                 if features is None:  # after member 0's projection: a bare archive names m0_w
-                    features, labels = read("features"), read("labels")
+                    features = frozen_array("features", read("features"), np.float64, (None, None))
+                    labels = frozen_array("labels", read("labels"), bool, (None, None))
                 points = transform(proj, features)
                 tables = (read(f"m{i}_{name}") for name in ("prior_pos", "freq_pos", "freq_neg"))
                 members.append((proj, MlknnModel(cfg.k_neighbors, cfg.smoothing, points, labels, *tables)))
-            log = [(float(e), int(d), int(m), int(c)) for e, d, m, c in read("training_log")]
+            log = read("training_log")
             has_scaler = "scaler_mean" in data or "scaler_scale" in data
             scaler = (read("scaler_mean"), read("scaler_scale")) if has_scaler else None
             return VpcmeModel(tuple(members), cfg, log, features, scaler)

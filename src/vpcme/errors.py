@@ -86,7 +86,21 @@ def checked_array(name, value, dtype, shape, finite=False, bound=None):
     array = np.ascontiguousarray(array, dtype=target)
     if finite and not np.isfinite(array).all():
         raise ValidationError(f"{name} {kind} contains non-finite values")
-    if bound is not None and not ((array >= 0) & (array < bound)).all():
-        bad = array[(array < 0) | (array >= bound)][0]
-        raise ValidationError(f"{name} must hold entries in [0, {bound}), got {bad}")
+    outside = None if bound is None else ~((array >= 0) & (array < bound))  # NaN included
+    if outside is not None and outside.any():
+        raise ValidationError(f"{name} must hold entries in [0, {bound}), got {array[outside][0]}")
+    return array
+
+
+def frozen_array(name, value, dtype, shape, bound=None):
+    """``checked_array(..., finite=True, bound=bound)``, read-only, and copied if
+    it may share memory with a writable ``value`` or base of it: how a frozen
+    type keeps an array, so that later writes by the caller do not reach it."""
+    array = checked_array(name, value, dtype, shape, finite=True, bound=bound)
+    shared = value
+    while isinstance(shared, np.ndarray) and not shared.flags.writeable:
+        shared = shared.base
+    if isinstance(shared, np.ndarray) and np.may_share_memory(array, shared):
+        array = array.copy()
+    array.setflags(write=False)
     return array

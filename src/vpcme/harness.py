@@ -209,14 +209,8 @@ def _report(cfg, units, unit_results):
             unit_values[name].append(mv.value)
             skipped[name] += mv.skipped
 
-    metrics = {
-        name: MetricSummary(
-            mean=float(np.mean(vals)),
-            std=float(np.std(vals, ddof=1)),
-            skipped=skipped[name],
-        )
-        for name, vals in unit_values.items()
-    }
+    metrics = {name: MetricSummary(float(np.mean(vals)), float(np.std(vals, ddof=1)), skipped[name])
+               for name, vals in unit_values.items()}
     return EvaluationReport(
         metrics=metrics,
         unit_values={name: tuple(vals) for name, vals in unit_values.items()},

@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, ValidationError, checked_array, checked_float, checked_int
+from .errors import ConfigError, ValidationError, checked_array, checked_float, checked_int, frozen_array
 
 DEFAULT_K = 10
 DEFAULT_SMOOTHING = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MlknnModel:
     k_neighbors: int
     smoothing: float
@@ -33,19 +33,19 @@ class MlknnModel:
     # fit_mlknn from the same search it counts with, so that scoring the
     # training set needs no second search; None for a model rebuilt from
     # its saved arrays.
-    train_neighbors: np.ndarray | None = field(default=None, repr=False, compare=False)
+    train_neighbors: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         k = checked_int("k_neighbors", self.k_neighbors, 1)
         object.__setattr__(self, "k_neighbors", k)
         object.__setattr__(self, "smoothing", checked_smoothing(self.smoothing, k))
-        points = checked_array("train_points", self.train_points, np.float64, (None, None))
+        points = frozen_array("train_points", self.train_points, np.float64, (None, None))
         n = points.shape[0]
-        labels = checked_array("train_labels", self.train_labels, bool, (n, None))
+        labels = frozen_array("train_labels", self.train_labels, bool, (n, None))
         r = labels.shape[1]
-        prior = checked_array("prior_pos", self.prior_pos, np.float64, (r,))
-        fpos = checked_array("freq_pos", self.freq_pos, np.int64, (r, k + 1))
-        fneg = checked_array("freq_neg", self.freq_neg, np.int64, (r, k + 1))
+        prior = frozen_array("prior_pos", self.prior_pos, np.float64, (r,))
+        fpos = frozen_array("freq_pos", self.freq_pos, np.int64, (r, k + 1))
+        fneg = frozen_array("freq_neg", self.freq_neg, np.int64, (r, k + 1))
         pos_totals = labels.sum(axis=0)
         if not np.array_equal(fpos.sum(axis=1), pos_totals):
             raise ValidationError("freq_pos rows must sum to the per-label positive counts")
@@ -55,11 +55,9 @@ class MlknnModel:
             raise ValidationError("smoothed priors must lie strictly inside (0, 1)")
         for arr, name in ((points, "train_points"), (labels, "train_labels"),
                           (prior, "prior_pos"), (fpos, "freq_pos"), (fneg, "freq_neg")):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.train_neighbors is not None:
-            table = checked_array("train_neighbors", self.train_neighbors, np.int64, (n, k), bound=n)
-            table.setflags(write=False)
+            table = frozen_array("train_neighbors", self.train_neighbors, np.int64, (n, k), bound=n)
             object.__setattr__(self, "train_neighbors", table)
 
     @property

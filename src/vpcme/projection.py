@@ -6,7 +6,8 @@ where each S is the average outer product of pair differences and r
 rescales the must-link term by the ratio of mean squared pair distances.
 Both S and r come from one gather of each list's pair differences. The
 maximizer keeps the eigenvectors of the difference matrix whose
-eigenvalues are non-negative.
+eigenvalues are non-negative. Scatter, eigensolve and projection hold
+BLAS at one thread, so their bits do not depend on the thread count.
 """
 
 import math
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import one_blas_thread
 from .constraints import PairConstraintSets
 from .dataset import MultiLabelDataset
-from .errors import ValidationError, checked_array, checked_float
+from .errors import ValidationError, checked_array, checked_float, frozen_array
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,7 @@ class ScatterPair:
     scaling_r: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionModel:
     """Orthonormal projection columns with their eigenvalues, largest first."""
 
@@ -35,9 +37,9 @@ class ProjectionModel:
     scaling_r: float
 
     def __post_init__(self):
-        w = checked_array("w", self.w, np.float64, (None, None))
+        w = frozen_array("w", self.w, np.float64, (None, None))
         k, d = w.shape
-        eigenvalues = checked_array("eigenvalues", self.eigenvalues, np.float64, (d,), finite=True)
+        eigenvalues = frozen_array("eigenvalues", self.eigenvalues, np.float64, (d,))
         scaling_r = checked_float("scaling_r", self.scaling_r)
         if not math.isfinite(scaling_r):
             raise ValidationError(f"scaling_r must be finite, got {scaling_r}")
@@ -48,8 +50,6 @@ class ProjectionModel:
             raise ValidationError("projection columns are not orthonormal")
         if np.any(eigenvalues < 0.0) and d != 1:
             raise ValidationError("negative eigenvalues only allowed for the single-vector fallback")
-        w.setflags(write=False)
-        eigenvalues.setflags(write=False)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "scaling_r", scaling_r)
@@ -86,8 +86,9 @@ def scatter_matrices(ds: MultiLabelDataset, sets: PairConstraintSets) -> Scatter
         m = pairs.shape[0]
         return diffs.T @ diffs / (2.0 * m), float((diffs**2).sum()) / m
 
-    s_cannot, mean_c = one("cannot-link pairs", sets.cannot)
-    s_must, mean_m = one("must-link pairs", sets.must)
+    with one_blas_thread():
+        s_cannot, mean_c = one("cannot-link pairs", sets.cannot)
+        s_must, mean_m = one("must-link pairs", sets.must)
     return ScatterPair(
         s_cannot=s_cannot,
         s_must=s_must,
@@ -107,7 +108,8 @@ def symmetric_eigen(a) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] and np.max(np.abs(a - a.T)) > 1e-8:
         raise ValidationError("matrix is not symmetric within 1e-8")
-    ascending, vectors = np.linalg.eigh(a)
+    with one_blas_thread():
+        ascending, vectors = np.linalg.eigh(a)
     order = np.argsort(-ascending, kind="stable")
     values = ascending[order]
     vectors = vectors[:, order]
@@ -135,4 +137,5 @@ def fit_projection(ds: MultiLabelDataset, sets: PairConstraintSets) -> Projectio
 
 def transform(model: ProjectionModel, x) -> np.ndarray:
     """Project an n-by-``model.input_dim`` matrix of rows into the reduced space."""
-    return checked_array("x", x, np.float64, (None, model.input_dim)) @ model.w
+    with one_blas_thread():
+        return checked_array("x", x, np.float64, (None, model.input_dim)) @ model.w

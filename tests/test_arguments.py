@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from vpcme import (
     ConstraintConfig,
     ExperimentConfig,
+    FoldAssignment,
     MultiLabelDataset,
     PairConstraintSets,
     ProjectionModel,
@@ -53,7 +54,15 @@ from vpcme import (
     transform,
 )
 from vpcme.cli import main
-from vpcme.errors import ConfigError, ValidationError, checked_array, checked_bool, checked_float, checked_int
+from vpcme.errors import (
+    ConfigError,
+    ValidationError,
+    checked_array,
+    checked_bool,
+    checked_float,
+    checked_int,
+    frozen_array,
+)
 
 POINTS = np.arange(16, dtype=np.float64).reshape(8, 2) ** 1.5
 LABELS = np.array([[i % 2 == 0, i % 3 == 0] for i in range(8)])
@@ -378,10 +387,10 @@ MATRIX_ENTRY_POINTS = {
     "VpcmeModel.features": (POINTS, lambda v: replace(MODEL, features=v), True),
     "transform.x": (POINTS, lambda v: transform(PROJECTION, v), False),
     "symmetric_eigen.a": (np.eye(2), symmetric_eigen, False),
-    "ProjectionModel.w": (np.eye(2), lambda v: replace(PROJECTION, w=v), False),
+    "ProjectionModel.w": (np.eye(2), lambda v: replace(PROJECTION, w=v), True),
     "fit_mlknn.points": (POINTS, lambda v: fit_mlknn(v, LABELS, 2), True),
     "fit_mlknn.labels": (LABELS, lambda v: fit_mlknn(POINTS, v, 2), False),
-    "MlknnModel.train_points": (POINTS, lambda v: replace(CLASSIFIER, train_points=v), False),
+    "MlknnModel.train_points": (POINTS, lambda v: replace(CLASSIFIER, train_points=v), True),
     "MlknnModel.train_labels": (LABELS, lambda v: replace(CLASSIFIER, train_labels=v), False),
     "posterior_scores.query": (POINTS, lambda v: posterior_scores(CLASSIFIER, v), True),
     "hamming_loss.truths": (LABELS, lambda v: hamming_loss(v, LABELS), False),
@@ -483,7 +492,7 @@ def sample(weights):
 ARRAY_ENTRY_POINTS = {
     "ProjectionModel.eigenvalues": (PROJECTION.eigenvalues, lambda v: replace(PROJECTION, eigenvalues=v),
                                     True, 0),
-    "MlknnModel.prior_pos": (CLASSIFIER.prior_pos, lambda v: replace(CLASSIFIER, prior_pos=v), False, 0),
+    "MlknnModel.prior_pos": (CLASSIFIER.prior_pos, lambda v: replace(CLASSIFIER, prior_pos=v), True, 0),
     "MlknnModel.freq_pos": (CLASSIFIER.freq_pos, lambda v: replace(CLASSIFIER, freq_pos=v), False, 1),
     "MlknnModel.freq_neg": (CLASSIFIER.freq_neg, lambda v: replace(CLASSIFIER, freq_neg=v), False, 1),
     "MlknnModel.train_neighbors": (CLASSIFIER.train_neighbors,
@@ -498,6 +507,7 @@ ARRAY_ENTRY_POINTS = {
     "sample_constraints.weights": (WEIGHTS, sample, True, 0),
     "PairConstraintSets.must": (PAIRS, lambda v: PairConstraintSets(must=v, cannot=PAIRS), False, 1),
     "PairConstraintSets.cannot": (PAIRS, lambda v: PairConstraintSets(must=PAIRS, cannot=v), False, 1),
+    "FoldAssignment.fold_of_instance": (np.array([0, 1, 0, 2]), FoldAssignment, False, None),
     "paired_t_test.a": (SERIES, lambda v: paired_t_test(v, OTHER_SERIES), True, None),
     "paired_t_test.b": (OTHER_SERIES, lambda v: paired_t_test(SERIES, v), True, 0),
     "hamming_loss.bipartitions": (LABELS, lambda v: hamming_loss(LABELS, v), False, 0),
@@ -699,3 +709,82 @@ def test_the_scaler_keeps_the_callers_arrays_writable():
     model = replace(MODEL, scaler=(mean, scale))
     assert mean.flags.writeable and scale.flags.writeable
     assert not model.scaler[0].flags.writeable and not model.scaler[1].flags.writeable
+
+
+# Every array a frozen type keeps goes through frozen_array: a private,
+# read-only, finite array that later writes by the caller do not reach.
+
+MLKNN_ARRAYS = ("train_points", "train_labels", "prior_pos", "freq_pos", "freq_neg", "train_neighbors")
+
+# type -> (build from arrays, the arrays it is built from, the arrays it keeps)
+FROZEN_TYPES = {
+    "MultiLabelDataset": (MultiLabelDataset, (POINTS, LABELS), lambda o: (o.features, o.labels)),
+    "FoldAssignment": (FoldAssignment, (np.array([0, 1, 0, 2]),), lambda o: (o.fold_of_instance,)),
+    "PairConstraintSets": (PairConstraintSets, (PAIRS, PAIRS[::-1]), lambda o: (o.must, o.cannot)),
+    "ProjectionModel": (lambda w, e: ProjectionModel(w, e, 1.0), (np.eye(2), np.array([1.0, 0.5])),
+                        lambda o: (o.w, o.eigenvalues)),
+    "MlknnModel": (lambda *arrays: replace(CLASSIFIER, **dict(zip(MLKNN_ARRAYS, arrays))),
+                   tuple(getattr(CLASSIFIER, name) for name in MLKNN_ARRAYS),
+                   lambda o: tuple(getattr(o, name) for name in MLKNN_ARRAYS)),
+    "VpcmeModel": (lambda x, mean, scale: replace(MODEL, features=x, scaler=(mean, scale)),
+                   (POINTS, np.zeros(2), np.ones(2)), lambda o: (o.features, *o.scaler)),
+}
+
+
+def scribble(array):
+    """Change every entry of a writable array in place."""
+    if array.dtype == bool:
+        np.logical_not(array, out=array)
+    else:
+        array += 1
+
+
+@pytest.mark.parametrize("as_view", [False, True], ids=["array", "read-only-view"])
+@pytest.mark.parametrize("kind", sorted(FROZEN_TYPES))
+def test_a_frozen_type_keeps_private_read_only_arrays(kind, as_view):
+    build, originals, kept = FROZEN_TYPES[kind]
+    owned = [np.array(a) for a in originals]
+    given = owned
+    if as_view:  # read-only views of the caller's writable arrays
+        given = [a.view() for a in owned]
+        for view in given:
+            view.setflags(write=False)
+    obj = build(*given)
+    for array, original, mine in zip(owned, originals, kept(obj), strict=True):
+        assert array.flags.writeable and not mine.flags.writeable
+        scribble(array)
+        assert np.array_equal(mine, original)
+
+
+def test_frozen_array_shares_only_what_no_one_can_write():
+    private = frozen_array("x", np.arange(3.0), np.float64, (3,))
+    assert frozen_array("x", private, np.float64, (3,)) is private
+    assert frozen_array("x", private[1:], np.float64, (2,)).base is private
+    fresh = frozen_array("x", [1, 2], np.float64, (2,))
+    assert not fresh.flags.writeable and fresh.tolist() == [1.0, 2.0]
+    with pytest.raises(ValidationError, match="^x vector contains non-finite values$"):
+        frozen_array("x", [1.0, math.nan], np.float64, (2,))
+    with pytest.raises(ValidationError, match=re.escape("x must hold entries in [0, 2), got 2")):
+        frozen_array("x", [0, 2], np.int64, (2,), bound=2)
+
+
+def test_array_holding_types_compare_by_identity():
+    for kind, (build, originals, _) in FROZEN_TYPES.items():
+        obj, twin = build(*originals), build(*originals)
+        assert obj == obj and obj != twin and hash(obj) != hash(twin), kind
+    assert DATASET != DATASET.subset(range(DATASET.instance_count))
+    assert VpcmeConfig(theta=0.5) == VpcmeConfig(theta=0.5)
+    assert ConstraintConfig(0.5, 2, 2) == ConstraintConfig(0.5, 2, 2)
+
+
+def test_model_file_with_a_non_finite_projection_is_rejected(tmp_path):
+    path = str(tmp_path / "model.npz")
+    save_model(MODEL, path)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays["m0_w"] = nan_cell(arrays["m0_w"])
+    np.savez(path, **arrays)
+    message = f"{path}: not a vpcme-model/2 model file: w matrix contains non-finite values"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_model(path)
+

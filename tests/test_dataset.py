@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vpcme.dataset import (
+    FoldAssignment,
     MultiLabelDataset,
     compute_stats,
     kfold_split,
@@ -231,6 +233,10 @@ class TestKfoldSplit:
         sizes = sorted(len(assignment.test_indices(f)) for f in range(5))
         assert sizes == round_robin_sizes(7, 5) == [1, 1, 1, 2, 2]
 
+    def test_shuffled_instance_i_gets_fold_i_mod_folds(self):
+        perm = np.random.Generator(np.random.PCG64(6)).permutation(11)
+        assert kfold_split(11, 4, seed=6).fold_of_instance[perm].tolist() == [i % 4 for i in range(11)]
+
     def test_too_many_folds(self):
         with pytest.raises(ConfigError):
             kfold_split(4, 5, seed=0)
@@ -253,6 +259,20 @@ class TestKfoldSplit:
             train = set(assignment.train_indices(f).tolist())
             test = set(assignment.test_indices(f).tolist())
             assert not train & test
+
+
+class TestFoldAssignment:
+    def test_a_list_of_fold_ids_gives_its_folds(self):
+        assignment = FoldAssignment([1, 0, 2, 1])
+        assert assignment.fold_of_instance.dtype == np.int64
+        assert assignment.test_indices(0).tolist() == [1]
+        assert assignment.test_indices(1).tolist() == [0, 3]
+        assert assignment.train_indices(1).tolist() == [1, 2]
+
+    def test_a_negative_fold_id_is_rejected(self):
+        message = "fold_of_instance must hold entries in [0, inf), got -1"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            FoldAssignment([0, -1])
 
 
 class TestDatasetValidation:

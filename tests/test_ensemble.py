@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -547,8 +548,30 @@ class TestModelValidation:
 
     def test_training_log_needs_one_row_per_member(self):
         model = train_vpcme(small_dataset(seed=37), quick_cfg(ensemble_size=2))
-        with pytest.raises(ValidationError, match="one row per member"):
+        message = "training_log must be a 2-D matrix of shape (2, 4), got shape (1, 4)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             replace(model, training_log=model.training_log[:1])
+
+    @pytest.mark.parametrize("row,message", [
+        (("x", None, 0, 0), "training_log must be a rectangular matrix of numbers"),
+        ((0.5,), "training_log must be a rectangular matrix of numbers"),
+        ((math.nan, 2, 3, 3), "training_log must hold entries in [0, inf), got nan"),
+        ((0.5, -1, 3, 3), "training_log must hold entries in [0, inf), got -1.0"),
+        ((0.5, 2, math.inf, 3), "training_log must hold entries in [0, inf), got inf"),
+    ])
+    def test_training_log_is_a_finite_table_of_counts(self, row, message):
+        model = train_vpcme(small_dataset(seed=37), quick_cfg(ensemble_size=2))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            replace(model, training_log=(model.training_log[0], row))
+
+    def test_training_log_rows_are_stored_as_float_and_ints(self, tmp_path):
+        model = train_vpcme(small_dataset(seed=37), quick_cfg(ensemble_size=2))
+        got = replace(model, training_log=np.array([[0.25, 2, 3, 4], [0.5, 1, 6, 7]])).training_log
+        assert got == ((0.25, 2, 3, 4), (0.5, 1, 6, 7))
+        assert [tuple(map(type, row)) for row in got] == [(float, int, int, int)] * 2
+        path = str(tmp_path / "model.npz")
+        save_model(model, path)
+        assert repr(load_model(path).training_log) == repr(model.training_log)
 
     @pytest.mark.parametrize(
         "mean,scale",

@@ -2,7 +2,8 @@
 ``from .x import _name`` and no ``mod._name`` on a sibling module bound by
 ``from . import mod``. Dunder names such as ``__version__`` are not helpers.
 Every name a module imports from a sibling is used in it; ``__init__.py``,
-whose imports are the package's public names, is exempt."""
+whose imports are the package's public names, is exempt. Only ``errors.py``
+freezes arrays: every other module keeps them through ``frozen_array``."""
 
 import ast
 from pathlib import Path
@@ -89,3 +90,7 @@ def test_an_unused_sibling_import_is_caught():
         "    raise ValidationError(_kernels.knn(x))\n"
     )
     assert unused_sibling_imports(source) == [(3, "checked_int")]
+
+
+def test_only_frozen_array_sets_array_flags():
+    assert sorted(p.name for p in PACKAGE.glob("*.py") if "setflags" in p.read_text()) == ["errors.py"]

@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from vpcme import _kernels, constraints, ensemble, harness
+from vpcme import _kernels, constraints, harness
 from vpcme.constraints import ConstraintConfig, sample_constraints
 from vpcme.dataset import MultiLabelDataset, save_csv, synthetic_dataset
 from vpcme.ensemble import VpcmeConfig, predict_ensemble, train_single_mlknn, train_vpcme
 from vpcme.harness import ExperimentConfig, cross_validate
 from vpcme.mlknn import fit_mlknn, posterior_scores
-from vpcme.projection import symmetric_eigen
+from vpcme.projection import fit_projection, symmetric_eigen, transform
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -359,20 +359,36 @@ def test_pool_holds_blas_at_one_thread_and_restores_it(two_workers, blas_at_two_
 def test_inline_training_holds_blas_at_one_thread_and_restores_it(monkeypatch, blas_at_two_threads):
     monkeypatch.setattr(_kernels, "_cpu_count", lambda: 1)
     seen = []
-    fit_mlknn_ = ensemble.fit_mlknn
+    eigh = np.linalg.eigh
 
-    def spy(*args):
+    def spy(a):
         seen.append(_kernels.blas_threads())
-        return fit_mlknn_(*args)
+        return eigh(a)
 
-    monkeypatch.setattr(ensemble, "fit_mlknn", spy)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
     ds = synthetic_dataset(60, 5, 3, seed=1)
     train_vpcme(ds, VpcmeConfig(ensemble_size=3, k_neighbors=3))
     assert _kernels.blas_threads() == blas_at_two_threads
     train_single_mlknn(ds, VpcmeConfig(k_neighbors=3))
     assert _kernels.blas_threads() == blas_at_two_threads
-    assert seen == [1, 1, 1, 1]
+    assert seen == [1, 1, 1]  # each member's eigensolve
     assert _kernels.parallel_map(lambda _: _kernels.blas_threads(), range(3)) == [1, 1, 1]
+    assert _kernels.blas_threads() == blas_at_two_threads
+
+
+def test_direct_projection_calls_do_not_depend_on_blas_threads(blas_at_two_threads):
+    # wide enough that OpenBLAS splits the scatter product, the eigensolve
+    # and the projection across its threads when it may
+    ds = synthetic_dataset(600, 103, 14, seed=0)
+    weights = np.full(600, 1 / 600)
+    sets = sample_constraints(ds, weights, ConstraintConfig(0.6, 600, 600), np.random.default_rng(0))
+    with _kernels.one_blas_thread():
+        want = fit_projection(ds, sets)
+        want_points = transform(want, ds.features)
+    got = fit_projection(ds, sets)
+    assert got.w.tobytes() == want.w.tobytes()
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert transform(want, ds.features).tobytes() == want_points.tobytes()
     assert _kernels.blas_threads() == blas_at_two_threads
 
 
