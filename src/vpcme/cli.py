@@ -188,15 +188,15 @@ def _cmd_sweep(args):
 
 def _cmd_compare(args):
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
-    cfgs = [_experiment_config(args, method=m) for m in methods]
-    comparison = compare_methods(cfgs, load_csv(args.data, args.labels))
+    cfg = _experiment_config(args, method=(methods or METHODS)[0])
+    comparison = compare_methods(cfg, methods, load_csv(args.data, args.labels))
     body = {
         "methods": comparison["methods"],
         "reference": comparison["reference"],
         "results": {m: r.to_dict() for m, r in comparison["reports"].items()},
         "tests": comparison["tests"],
     }
-    doc = _document("compare", args, asdict(cfgs[0]), body)
+    doc = _document("compare", args, asdict(cfg), body)
     _emit(doc, args.out)
     _print_metric_table([(m, comparison["reports"][m]) for m in comparison["methods"]])
 

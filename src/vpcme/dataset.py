@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CsvFormatError, ValidationError, checked_array, checked_int, frozen_array
+from .errors import (ConfigError, CsvFormatError, ValidationError, checked_array, checked_float, checked_int,
+                     frozen_array)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,6 +206,8 @@ def synthetic_dataset(
     """
     n, features = checked_int("n", n, 1), checked_int("features", features, 1)
     labels, seed = checked_int("labels", labels, 2), checked_int("seed", seed, 0)
+    label_noise = checked_float("label_noise", label_noise)
+    label_correlation = checked_float("label_correlation", label_correlation)
     if not 0.0 <= label_noise <= 1.0 or not 0.0 <= label_correlation <= 1.0:
         raise ConfigError("label_noise and label_correlation must lie in [0, 1]")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -17,8 +17,7 @@ import numpy as np
 from ._kernels import parallel_map
 from .constraints import ConstraintConfig, sample_constraints
 from .dataset import MultiLabelDataset
-from .errors import (ConfigError, ValidationError, checked_array, checked_bool, checked_float,
-                     checked_int, frozen_array)
+from .errors import ConfigError, ValidationError, checked_array, checked_bool, checked_int, frozen_array
 from .mlknn import (
     DEFAULT_K,
     DEFAULT_SMOOTHING,
@@ -50,9 +49,7 @@ class VpcmeConfig:
     def __post_init__(self):
         for name, minimum in (("ensemble_size", 1), ("k_neighbors", 1), ("seed", 0)):
             object.__setattr__(self, name, checked_int(name, getattr(self, name), minimum))
-        object.__setattr__(self, "theta", checked_float("theta", self.theta))
-        if not 0.0 <= self.theta <= 1.0:
-            raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
+        object.__setattr__(self, "theta", ConstraintConfig(self.theta, 0, 0).theta)  # theta's own checks
         object.__setattr__(self, "smoothing", checked_smoothing(self.smoothing, self.k_neighbors))
         object.__setattr__(self, "boosting_enabled", checked_bool("boosting_enabled", self.boosting_enabled))
 
@@ -62,10 +59,11 @@ class VpcmeModel:
     """Ordered (projection, classifier) members plus the training trace.
 
     ``training_log`` holds one (error_rate, reduced_dim, n_must, n_cannot)
-    row per member, given as a finite non-negative table and stored as
-    (float, int, int, int) tuples. ``scaler`` is None or the (mean, scale)
-    pair that :func:`member_scores` applies to every query, ``(x - mean) /
-    scale``, because the members were trained on features standardized that way.
+    row per member, given as a finite non-negative table with error rates
+    of at most 1 and whole counts, and stored as (float, int, int, int)
+    tuples. ``scaler`` is None or the (mean, scale) pair that
+    :func:`member_scores` applies to every query, ``(x - mean) / scale``,
+    because the members were trained on features standardized that way.
     ``features`` holds the training rows, finite, as the members saw them
     (after any scaler); each member's classifier holds them projected through its W.
     """
@@ -90,6 +88,8 @@ class VpcmeModel:
             if (classifier.k_neighbors, classifier.smoothing) != (cfg.k_neighbors, cfg.smoothing):
                 raise ValidationError("members must use the config's k_neighbors and smoothing")
         log = checked_array("training_log", self.training_log, np.float64, (len(members), 4), bound=np.inf)
+        if np.any(log[:, 0] > 1.0) or np.any(log[:, 1:] % 1.0):
+            raise ValidationError("training_log rows must hold an error rate in [0, 1] and whole counts")
         log = tuple((e, int(d), int(m), int(c)) for e, d, m, c in log.tolist())
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "training_log", log)
@@ -136,13 +136,11 @@ def train_vpcme(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
     """Train the full ensemble; member RNG streams derive from (seed, index).
 
     The projection holds BLAS at one thread, so the model's bits do not
-    depend on the CPU count.
+    depend on the CPU count. A dataset of at most ``cfg.k_neighbors`` rows
+    raises ``ConfigError`` in the first member, from
+    :func:`~vpcme.mlknn.fit_mlknn` (at one row, from pair sampling).
     """
     n = ds.instance_count
-    if n < max(2, cfg.k_neighbors + 1):
-        raise ConfigError(
-            f"training needs more than k_neighbors={cfg.k_neighbors} instances, got {n}"
-        )
     weights = np.full(n, 1.0 / n)
     members = []
     log = []

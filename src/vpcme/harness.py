@@ -17,9 +17,10 @@ import numpy as np
 
 from ._kernels import parallel_map
 from ._ttable import critical_value
+from .constraints import ConstraintConfig
 from .dataset import MultiLabelDataset, kfold_split
 from .ensemble import VpcmeConfig, majority_vote, member_scores, train_single_mlknn, train_vpcme
-from .errors import ConfigError, ValidationError, checked_array, checked_bool, checked_float, checked_int
+from .errors import ConfigError, ValidationError, checked_array, checked_bool, checked_int
 from .metrics import HIGHER_IS_BETTER, METRIC_NAMES, evaluate_all
 
 METHODS = ("vpcme", "bagging_vpcp", "mlknn_single")
@@ -79,9 +80,7 @@ class SweepSpec:
         if self.parameter == "ensemble_size":
             values = tuple(checked_int("ensemble_size sweep value", v, 1) for v in values)
         else:
-            values = tuple(checked_float("theta sweep value", v) for v in values)
-            if outside := [v for v in values if not 0.0 <= v <= 1.0]:
-                raise ConfigError(f"theta sweep value {outside[0]} outside [0, 1]")
+            values = tuple(ConstraintConfig(v, 0, 0).theta for v in values)  # theta's own checks
         object.__setattr__(self, "values", values)
 
 
@@ -228,30 +227,24 @@ def run_sweep(cfg: ExperimentConfig, sweep: SweepSpec, dataset: MultiLabelDatase
     return [(value, cross_validate(replace(cfg, theta=value), dataset)) for value in sweep.values]
 
 
-def compare_methods(cfgs, dataset: MultiLabelDataset) -> dict:
-    """Run several methods on identical splits and t-test them pairwise.
+def compare_methods(cfg: ExperimentConfig, methods, dataset: MultiLabelDataset) -> dict:
+    """Run each of ``methods`` on identical splits and t-test them pairwise.
 
-    The first config is the reference; markers read from its perspective:
-    'win' when the reference is significantly better on a metric, 'loss'
-    when significantly worse, 'tie' otherwise.
+    Each method runs with ``replace(cfg, method=m)``, so every other setting
+    is ``cfg``'s. All of these configs are built before any run, so an
+    unknown or duplicate method fails first. The first method is the
+    reference; markers read from its perspective: 'win' when the reference
+    is significantly better on a metric, 'loss' when significantly worse,
+    'tie' otherwise.
     """
-    cfgs = list(cfgs)
-    if len(cfgs) < 2:
-        raise ConfigError("compare_methods needs at least two configurations")
-    order = [cfg.method for cfg in cfgs]
+    order = list(methods)
+    if len(order) < 2:
+        raise ConfigError("compare_methods needs at least two methods")
     for i, key in enumerate(order):
         if key in order[:i]:
             raise ConfigError(f"duplicate method {key!r} in comparison")
-    head = cfgs[0]
-    for other in cfgs[1:]:
-        shared = ("folds", "repeats", "seed", "zscore")
-        for name in shared:
-            if getattr(other, name) != getattr(head, name):
-                raise ConfigError(
-                    f"compared configurations must share {name!r} "
-                    f"({getattr(head, name)!r} vs {getattr(other, name)!r})"
-                )
-    reports = {cfg.method: cross_validate(cfg, dataset) for cfg in cfgs}
+    cfgs = [replace(cfg, method=m) for m in order]
+    reports = {c.method: cross_validate(c, dataset) for c in cfgs}
 
     reference = order[0]
     tests = {}

@@ -97,8 +97,6 @@ def fit_mlknn(points, labels, k_neighbors: int = DEFAULT_K,
     r = labels.shape[1]
     k = checked_int("k_neighbors", k_neighbors, 1)
     s = checked_smoothing(smoothing, k)
-    if n < 2:
-        raise ConfigError("fitting needs at least 2 instances")
     if k >= n:
         raise ConfigError(f"k_neighbors={k} must be smaller than the instance count {n}")
 

@@ -21,11 +21,18 @@ from .dataset import MultiLabelDataset
 from .errors import ValidationError, checked_array, checked_float, frozen_array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScatterPair:
+    """The two scatter matrices, of one shape, and the scaling r."""
+
     s_cannot: np.ndarray
     s_must: np.ndarray
     scaling_r: float
+
+    def __post_init__(self):
+        s_cannot = frozen_array("s_cannot", self.s_cannot, np.float64, (None, None))
+        object.__setattr__(self, "s_must", frozen_array("s_must", self.s_must, np.float64, s_cannot.shape))
+        object.__setattr__(self, "s_cannot", s_cannot)
 
 
 @dataclass(frozen=True, eq=False)

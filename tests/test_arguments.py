@@ -27,6 +27,7 @@ from vpcme import (
     MultiLabelDataset,
     PairConstraintSets,
     ProjectionModel,
+    ScatterPair,
     SweepSpec,
     VpcmeConfig,
     f1_metric,
@@ -135,8 +136,16 @@ def test_integer_arguments_follow_one_rule(csv_path, entry, value):
 
 # entry point -> (range, call); the call returns the value as the entry point
 # stored or used it
-def theta_range(v):
+def unit_range(v):
     return 0.0 <= v <= 1.0
+
+
+def synthetic_float(name, v):
+    """float(v), once synthetic_dataset has drawn with ``name=v`` what it draws with float(v)."""
+    got = synthetic_dataset(6, 2, 2, seed=0, **{name: v})
+    want = synthetic_dataset(6, 2, 2, seed=0, **{name: float(v)})
+    assert np.array_equal(got.features, want.features) and np.array_equal(got.labels, want.labels)
+    return float(v)
 
 
 def smoothing_range(v, k):
@@ -146,16 +155,18 @@ def smoothing_range(v, k):
 
 DEFAULT_K = VpcmeConfig.k_neighbors
 FLOAT_ENTRY_POINTS = {
-    "VpcmeConfig.theta": (theta_range, lambda v: VpcmeConfig(theta=v).theta),
+    "VpcmeConfig.theta": (unit_range, lambda v: VpcmeConfig(theta=v).theta),
     "VpcmeConfig.smoothing": (lambda v: smoothing_range(v, DEFAULT_K),
                               lambda v: VpcmeConfig(smoothing=v).smoothing),
-    "ExperimentConfig.theta": (theta_range, lambda v: ExperimentConfig(theta=v).theta),
+    "ExperimentConfig.theta": (unit_range, lambda v: ExperimentConfig(theta=v).theta),
     "ExperimentConfig.smoothing": (lambda v: smoothing_range(v, DEFAULT_K),
                                    lambda v: ExperimentConfig(smoothing=v).smoothing),
-    "ConstraintConfig.theta": (theta_range, lambda v: ConstraintConfig(v, 1, 1).theta),
-    "SweepSpec.values": (theta_range, lambda v: SweepSpec("theta", (v,)).values[0]),
+    "ConstraintConfig.theta": (unit_range, lambda v: ConstraintConfig(v, 1, 1).theta),
+    "SweepSpec.values": (unit_range, lambda v: SweepSpec("theta", (v,)).values[0]),
     "fit_mlknn.smoothing": (lambda v: smoothing_range(v, 2),
                             lambda v: fit_mlknn(POINTS, LABELS, 2, v).smoothing),
+    "synthetic_dataset.label_noise": (unit_range, lambda v: synthetic_float("label_noise", v)),
+    "synthetic_dataset.label_correlation": (unit_range, lambda v: synthetic_float("label_correlation", v)),
 }
 
 UNIT = st.floats(-0.5, 1.5)
@@ -728,6 +739,8 @@ FROZEN_TYPES = {
                    lambda o: tuple(getattr(o, name) for name in MLKNN_ARRAYS)),
     "VpcmeModel": (lambda x, mean, scale: replace(MODEL, features=x, scaler=(mean, scale)),
                    (POINTS, np.zeros(2), np.ones(2)), lambda o: (o.features, *o.scaler)),
+    "ScatterPair": (lambda c, m: ScatterPair(c, m, 1.0), (np.eye(2), np.ones((2, 2))),
+                    lambda o: (o.s_cannot, o.s_must)),
 }
 
 

@@ -149,7 +149,7 @@ class TestTraining:
 
     def test_too_few_instances_for_k(self):
         ds = small_dataset(n=5)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^k_neighbors=5 must be smaller than the instance count 5$"):
             train_vpcme(ds, quick_cfg(k_neighbors=5))
 
     def test_must_link_shortfall_completes_with_cannot_links_only(self):
@@ -464,12 +464,15 @@ class TestPersistence:
             lambda a: {"member_count": "x"},
             lambda a: {"m0_w": np.ones(4)},
             lambda a: {"training_log": np.zeros((4, 2))},
+            lambda a: {"training_log": a["training_log"] + [0.0, 0.5, 0.0, 0.0]},
+            lambda a: {"training_log": a["training_log"] + [1.5, 0.0, 0.0, 0.0]},
             lambda a: {"scaler_scale": np.ones(2)},
             lambda a: {"scaler_scale": np.zeros(4)},
             lambda a: {"m0_prior_pos": np.full(5, 0.5)},
             drop_last_label_of_m1,
         ],
         ids=["config-not-json", "config-unknown-key", "member-count-not-int", "w-1d", "log-4x2",
+             "log-half-a-dim", "log-error-above-1",
              "scale-2-of-4", "scale-zero", "prior-5-of-3", "m1-one-label-short"],
     )
     def test_archive_with_a_malformed_array_is_not_a_model(self, tmp_path, edit):
@@ -552,12 +555,18 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             replace(model, training_log=model.training_log[:1])
 
+    LOG_RULE = "training_log rows must hold an error rate in [0, 1] and whole counts"
+
     @pytest.mark.parametrize("row,message", [
         (("x", None, 0, 0), "training_log must be a rectangular matrix of numbers"),
         ((0.5,), "training_log must be a rectangular matrix of numbers"),
         ((math.nan, 2, 3, 3), "training_log must hold entries in [0, inf), got nan"),
         ((0.5, -1, 3, 3), "training_log must hold entries in [0, inf), got -1.0"),
         ((0.5, 2, math.inf, 3), "training_log must hold entries in [0, inf), got inf"),
+        ((1.5, 1, 1, 1), LOG_RULE),
+        ((0.5, 2.5, 3, 3), LOG_RULE),
+        ((0.5, 2, 3.7, 3), LOG_RULE),
+        ((0.5, 2, 3, 1e-9), LOG_RULE),
     ])
     def test_training_log_is_a_finite_table_of_counts(self, row, message):
         model = train_vpcme(small_dataset(seed=37), quick_cfg(ensemble_size=2))

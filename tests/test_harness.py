@@ -261,18 +261,11 @@ class TestRunSweep:
 
 
 class TestCompareMethods:
-    def make_cfg(self, method, **overrides):
-        base = dict(method=method, ensemble_size=2, k_neighbors=5,
-                    folds=3, repeats=2, seed=21)
-        base.update(overrides)
-        return ExperimentConfig(**base)
+    CFG = ExperimentConfig(ensemble_size=2, k_neighbors=5, folds=3, repeats=2, seed=21)
 
     def test_three_methods_aligned(self):
         ds = synthetic_dataset(60, 3, 3, seed=12, label_noise=0.1)
-        comparison = compare_methods(
-            [self.make_cfg(m) for m in ("vpcme", "bagging_vpcp", "mlknn_single")],
-            dataset=ds,
-        )
+        comparison = compare_methods(self.CFG, ("vpcme", "bagging_vpcp", "mlknn_single"), dataset=ds)
         assert comparison["methods"] == ["vpcme", "bagging_vpcp", "mlknn_single"]
         assert comparison["reference"] == "vpcme"
         for metric, row in comparison["tests"].items():
@@ -282,34 +275,43 @@ class TestCompareMethods:
 
     def test_method_against_itself_all_ties(self):
         ds = synthetic_dataset(50, 3, 3, seed=13)
-        a = self.make_cfg("vpcme")
-        b = self.make_cfg("bagging_vpcp")
         # same method twice is rejected; bagging with boosting disabled uses
         # identical member streams only when weights match, so compare a
         # method against itself through two distinct names is not possible;
         # instead check that identical unit series never flag significance
-        comparison = compare_methods([a, b], dataset=ds)
+        comparison = compare_methods(self.CFG, ("vpcme", "bagging_vpcp"), dataset=ds)
         report = comparison["reports"]["vpcme"]
         for name, values in report.unit_values.items():
             result = paired_t_test(values, values)
             assert not result.significant
 
+    def test_each_method_runs_with_the_shared_config(self, monkeypatch):
+        seen = []
+
+        def spy(cfg, ds):
+            seen.append(cfg)
+            return cross_validate(cfg, ds)
+
+        monkeypatch.setattr(harness, "cross_validate", spy)
+        ds = synthetic_dataset(50, 3, 3, seed=13)
+        cfg = replace(self.CFG, method="mlknn_single", zscore=True)
+        compare_methods(cfg, ("bagging_vpcp", "vpcme"), dataset=ds)
+        assert seen == [replace(cfg, method="bagging_vpcp"), replace(cfg, method="vpcme")]
+
     def test_duplicate_methods_rejected(self, monkeypatch):
-        # before any cross-validation runs, also after a distinct method
+        # before any cross-validation runs, also after a distinct method; so
+        # are an unknown method and a single one
         calls = []
         monkeypatch.setattr(harness, "cross_validate", lambda *args: calls.append(args))
         ds = synthetic_dataset(50, 3, 3, seed=13)
         for methods in (("vpcme", "vpcme"), ("vpcme", "bagging_vpcp", "vpcme")):
             with pytest.raises(ConfigError, match="duplicate method 'vpcme'"):
-                compare_methods([self.make_cfg(m) for m in methods], dataset=ds)
+                compare_methods(self.CFG, methods, dataset=ds)
+        with pytest.raises(ConfigError, match="method must be one of .*, got 'boosted'"):
+            compare_methods(self.CFG, ("vpcme", "boosted"), dataset=ds)
+        with pytest.raises(ConfigError, match="^compare_methods needs at least two methods$"):
+            compare_methods(self.CFG, ("vpcme",), dataset=ds)
         assert calls == []
-
-    def test_mismatched_seeds_rejected(self):
-        with pytest.raises(ConfigError):
-            compare_methods(
-                [self.make_cfg("vpcme"), self.make_cfg("mlknn_single", seed=99)],
-                dataset=synthetic_dataset(50, 3, 3, seed=13),
-            )
 
     @pytest.mark.parametrize("metric, reference_higher, marker", [
         ("hamming_loss", True, "loss"),
@@ -327,19 +329,16 @@ class TestCompareMethods:
             return EvaluationReport({}, {name: values for name in METRIC_NAMES}, ())
 
         monkeypatch.setattr(harness, "cross_validate", fake_cross_validate)
-        cfgs = [self.make_cfg("vpcme"), self.make_cfg("mlknn_single")]
-        comparison = compare_methods(cfgs, dataset=synthetic_dataset(50, 3, 3, seed=13))
+        comparison = compare_methods(self.CFG, ("vpcme", "mlknn_single"),
+                                     dataset=synthetic_dataset(50, 3, 3, seed=13))
         cell = comparison["tests"][metric]["mlknn_single"]
         assert cell["significant"]
         assert cell["marker"] == marker
 
     def test_vpcme_ranking_loss_not_worse_than_single(self):
         ds = synthetic_dataset(120, 4, 3, seed=14, label_noise=0.1, label_correlation=0.6)
-        cfgs = [
-            self.make_cfg("vpcme", ensemble_size=10, repeats=3, seed=5),
-            self.make_cfg("mlknn_single", ensemble_size=10, repeats=3, seed=5),
-        ]
-        comparison = compare_methods(cfgs, dataset=ds)
+        cfg = replace(self.CFG, ensemble_size=10, repeats=3, seed=5)
+        comparison = compare_methods(cfg, ("vpcme", "mlknn_single"), dataset=ds)
         vpcme_rl = comparison["reports"]["vpcme"].metrics["ranking_loss"].mean
         single_rl = comparison["reports"]["mlknn_single"].metrics["ranking_loss"].mean
         assert vpcme_rl <= single_rl + 0.01

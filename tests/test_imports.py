@@ -3,7 +3,9 @@
 ``from . import mod``. Dunder names such as ``__version__`` are not helpers.
 Every name a module imports from a sibling is used in it; ``__init__.py``,
 whose imports are the package's public names, is exempt. Only ``errors.py``
-freezes arrays: every other module keeps them through ``frozen_array``."""
+freezes arrays: every other module keeps them through ``frozen_array``.
+theta's range and MLKNN's k-below-the-row-count rule are each written in
+one module, which the others defer to."""
 
 import ast
 from pathlib import Path
@@ -94,3 +96,11 @@ def test_an_unused_sibling_import_is_caught():
 
 def test_only_frozen_array_sets_array_flags():
     assert sorted(p.name for p in PACKAGE.glob("*.py") if "setflags" in p.read_text()) == ["errors.py"]
+
+
+@pytest.mark.parametrize("rule, owner", [
+    ("theta must lie in [0, 1]", "constraints.py"),
+    ("must be smaller than the instance count", "mlknn.py"),
+])
+def test_each_rule_has_one_owner(rule, owner):
+    assert sorted(p.name for p in PACKAGE.glob("*.py") if rule in p.read_text()) == [owner]

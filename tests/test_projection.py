@@ -6,6 +6,7 @@ from vpcme.dataset import MultiLabelDataset, synthetic_dataset
 from vpcme.errors import ValidationError
 from vpcme.projection import (
     ProjectionModel,
+    ScatterPair,
     fit_projection,
     scatter_matrices,
     symmetric_eigen,
@@ -60,6 +61,10 @@ class TestScatterMatrices:
         ds = toy_dataset()
         with pytest.raises(ValidationError):
             scatter_matrices(ds, PairConstraintSets(must=pairs((0, 9)), cannot=pairs()))
+
+    def test_matrices_share_one_shape(self):
+        with pytest.raises(ValidationError, match=r"^s_must must be a 2-D matrix of shape \(2, 2\), got shape \(3, 3\)$"):
+            ScatterPair(np.eye(2), np.eye(3), 1.0)
 
 
 class TestScalingCoefficient:
