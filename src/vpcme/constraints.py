@@ -17,9 +17,7 @@ from .dataset import MultiLabelDataset
 from .errors import ConfigError, ValidationError, checked_array, checked_float, checked_int, frozen_array
 
 DEFAULT_ATTEMPT_FACTOR = 50
-# First sampling step covers this many times the combined targets in
-# attempts; each later step doubles.
-ROUTE_FIRST_STEP = 2
+ROUTE_FIRST_STEP = 2  # first step: this many attempts per target; each later step doubles
 # weighted_indices' lookup table has about this many buckets per weight, and
 # at most 2^LOOKUP_MAX_BITS + 1 entries (512 KB).
 LOOKUP_BUCKETS_PER_WEIGHT = 8
@@ -28,10 +26,14 @@ LOOKUP_MAX_BITS = 16
 
 @dataclass(frozen=True)
 class ConstraintConfig:
+    """Sampling settings: the overlap threshold ``theta``, whose [0, 1] rule
+    this type owns, and the list targets ``target_must`` and
+    ``target_cannot``, each at least 0. The attempt budget is derived, not
+    set: ``max_attempts`` is ``DEFAULT_ATTEMPT_FACTOR`` (50) times their sum."""
+
     theta: float
     target_must: int
     target_cannot: int
-    max_attempts: int = None
 
     def __post_init__(self):
         object.__setattr__(self, "theta", checked_float("theta", self.theta))
@@ -39,9 +41,10 @@ class ConstraintConfig:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         for name in ("target_must", "target_cannot"):
             object.__setattr__(self, name, checked_int(name, getattr(self, name), 0))
-        targets = self.target_must + self.target_cannot
-        attempts = DEFAULT_ATTEMPT_FACTOR * targets if self.max_attempts is None else self.max_attempts
-        object.__setattr__(self, "max_attempts", checked_int("max_attempts", attempts, targets))
+
+    @property
+    def max_attempts(self) -> int:
+        return DEFAULT_ATTEMPT_FACTOR * (self.target_must + self.target_cannot)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,22 +75,14 @@ class PairConstraintSets:
         return self.cannot.shape[0]
 
 
-def label_overlap_ratio(labels_i, labels_j):
-    """Intersection size over mean set size; 1.0 when both sets are empty.
-
-    Two label vectors give a float; two (m, r) label matrices give the m
-    ratios of their paired rows.
-    """
-    try:
-        vector = np.ndim(labels_i) == 1
-    except ValueError:  # a ragged list, which the matrix rule rejects
-        vector = False
-    li = checked_array("labels_i", labels_i, bool, (None,) if vector else (None, None))
+def label_overlap_ratio(labels_i, labels_j) -> np.ndarray:
+    """The m ratios of the paired rows of two (m, r) label matrices:
+    intersection size over mean set size, 1.0 where both sets are empty."""
+    li = checked_array("labels_i", labels_i, bool, (None, None))
     lj = checked_array("labels_j", labels_j, bool, li.shape)
     inter = np.count_nonzero(li & lj, axis=-1)
     denom = (np.count_nonzero(li, axis=-1) + np.count_nonzero(lj, axis=-1)) / 2.0
-    ratio = np.where(denom == 0.0, 1.0, inter / np.where(denom == 0.0, 1.0, denom))
-    return float(ratio) if li.ndim == 1 else ratio
+    return np.where(denom == 0.0, 1.0, inter / np.where(denom == 0.0, 1.0, denom))
 
 
 def weighted_indices(weights, uniforms) -> np.ndarray:

@@ -89,7 +89,7 @@ def load_features(path, label_count: int = 0):
     ``CsvFormatError`` naming its first bad line.
     """
     label_count = checked_int("label_count", label_count, 0)
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:  # a leading byte-order mark is dropped
         text = handle.read()
     lines = text.split("\n")
     while lines and lines[-1].strip() == "":

@@ -348,6 +348,20 @@ class TestTrainPredict:
         assert run_cli("predict", "--model", model_path, "--data", bad, "--labels", "1") == 2
         assert "outside {0, 1}" in capsys.readouterr().err
 
+    def test_predict_ignores_a_leading_bom(self, data_csv, tmp_path):
+        model_path = str(tmp_path / "model.npz")
+        run_cli("train", "--data", data_csv, "--labels", "3", "--method", "mlknn_single",
+                "--k", "5", "--out", model_path)
+        bom_csv = str(tmp_path / "bom.csv")
+        with open(data_csv, "rb") as src, open(bom_csv, "wb") as dst:
+            dst.write(b"\xef\xbb\xbf" + src.read())
+        outputs = {}
+        for name, path in (("plain", data_csv), ("bom", bom_csv)):
+            outputs[name] = tmp_path / f"{name}.pred.csv"
+            assert run_cli("predict", "--model", model_path, "--data", path,
+                           "--labels", "3", "--out", str(outputs[name])) == 0
+        assert outputs["plain"].read_bytes() == outputs["bom"].read_bytes()
+
     def test_zscore_model_predicts_from_raw_features(self, data_csv, tmp_path):
         model_path = str(tmp_path / "model.npz")
         assert run_cli(

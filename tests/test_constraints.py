@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from vpcme.dataset import MultiLabelDataset, synthetic_dataset
 from vpcme.errors import ConfigError, ValidationError
 
 
-def bool_row(universe, members):
-    return np.array([name in members for name in universe], dtype=bool)
+def bool_rows(universe, members):
+    """The 1-row label matrix of one set."""
+    return np.array([[name in members for name in universe]], dtype=bool)
 
 
 UNIVERSE = ["a", "b", "c", "d"]
@@ -44,13 +47,18 @@ class TestLabelOverlapRatio:
         ],
     )
     def test_hand_values(self, left, right, expected):
-        value = label_overlap_ratio(bool_row(UNIVERSE, left), bool_row(UNIVERSE, right))
-        assert value == expected
-        assert value == set_ratio(left, right)
+        value = label_overlap_ratio(bool_rows(UNIVERSE, left), bool_rows(UNIVERSE, right))
+        assert value.tolist() == [expected]
+        assert value.tolist() == [set_ratio(left, right)]
 
     def test_universe_mismatch(self):
         with pytest.raises(ValidationError):
-            label_overlap_ratio(np.zeros(3, bool), np.zeros(4, bool))
+            label_overlap_ratio(np.zeros((1, 3), bool), np.zeros((1, 4), bool))
+
+    def test_label_vectors_rejected(self):
+        message = "labels_i must be a 2-D matrix of shape (any, any), got shape (4,)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            label_overlap_ratio(np.ones(4, bool), np.ones(4, bool))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -58,7 +66,7 @@ class TestLabelOverlapRatio:
         right=st.sets(st.sampled_from(UNIVERSE)),
     )
     def test_matches_set_arithmetic(self, left, right):
-        value = label_overlap_ratio(bool_row(UNIVERSE, left), bool_row(UNIVERSE, right))
+        (value,) = label_overlap_ratio(bool_rows(UNIVERSE, left), bool_rows(UNIVERSE, right))
         assert value == set_ratio(left, right)
         assert 0.0 <= value <= 1.0
 
@@ -136,10 +144,8 @@ class TestSampleConstraints:
         for theta in (0.0, 0.3, 0.6, 1.0):
             cfg = ConstraintConfig(theta=theta, target_must=50, target_cannot=50)
             sets = sample_constraints(ds, uniform(40), cfg, rng_from(int(theta * 10)))
-            for i, j in sets.must:
-                assert label_overlap_ratio(ds.labels[i], ds.labels[j]) >= theta
-            for i, j in sets.cannot:
-                assert label_overlap_ratio(ds.labels[i], ds.labels[j]) < theta
+            assert np.all(label_overlap_ratio(ds.labels[sets.must[:, 0]], ds.labels[sets.must[:, 1]]) >= theta)
+            assert np.all(label_overlap_ratio(ds.labels[sets.cannot[:, 0]], ds.labels[sets.cannot[:, 1]]) < theta)
 
     def test_deterministic_given_seed(self):
         ds = synthetic_dataset(20, 3, 3, seed=9)
@@ -188,23 +194,29 @@ class TestSampleConstraints:
         ds = synthetic_dataset(5, 2, 2, seed=4)
         weights = np.zeros(5)
         weights[2] = 1.0
-        cfg = ConstraintConfig(theta=0.5, target_must=3, target_cannot=3, max_attempts=500)
-        sets = sample_constraints(ds, weights, cfg, rng_from(0))
+        cfg = ConstraintConfig(theta=0.5, target_must=3, target_cannot=4)
+        rng = rng_from(0)
+        sets = sample_constraints(ds, weights, cfg, rng)
         assert sets.n_must == 0
         assert sets.n_cannot == 0
+        # the whole budget was drawn: two uniforms for each of 50 * 7 attempts
+        advanced = rng_from(0)
+        advanced.random(2 * 50 * (3 + 4))
+        assert rng.random() == advanced.random()
 
     def test_peak_memory_does_not_grow_with_the_attempt_budget(self):
         ds = synthetic_dataset(200, 5, 4, seed=2)
         weights = uniform(200)
-        cfg = ConstraintConfig(theta=0.5, target_must=20, target_cannot=20, max_attempts=10**6)
+        cfg = ConstraintConfig(theta=0.5, target_must=10_500, target_cannot=10_500)
+        block = 2 * cfg.max_attempts * 8  # the whole budget's uniforms: 16 MB
         tracemalloc.start()
         try:
             sets = sample_constraints(ds, weights, cfg, rng_from(0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (sets.n_must, sets.n_cannot) == (20, 20)
-        assert peak < 1 << 20  # a block of 2 * max_attempts uniforms is 16 MB
+        assert (sets.n_must, sets.n_cannot) == (10_500, 10_500)
+        assert peak < block // 4  # the steps drawn hold about a fifth
 
     def test_single_instance_rejected(self):
         ds = MultiLabelDataset(np.zeros((1, 1)), np.array([[True, False]]))
@@ -228,9 +240,11 @@ class TestConfigAndSets:
         cfg = ConstraintConfig(theta=0.5, target_must=10, target_cannot=20)
         assert cfg.max_attempts == 50 * 30
 
-    def test_max_attempts_too_small(self):
-        with pytest.raises(ConfigError):
+    def test_max_attempts_is_not_a_setting(self):
+        with pytest.raises(TypeError):
             ConstraintConfig(theta=0.5, target_must=10, target_cannot=20, max_attempts=5)
+        with pytest.raises(TypeError):
+            replace(ConstraintConfig(0.5, 10, 20), max_attempts=5)
 
     def test_self_pairs_rejected(self):
         with pytest.raises(ValidationError):

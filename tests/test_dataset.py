@@ -137,7 +137,17 @@ class TestLoadCsv:
         assert np.array_equal(load_csv(path, 2).features, [[15.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(load_features(path, 2)[0], [[15.0, 2.0], [3.0, 4.0]])
 
-    @pytest.mark.parametrize("text", ["\ufeff1.0,2.0,1,0\n", "1.0,2.0,1,0\n#1.0,2.0,1,0\n"])
+    def test_leading_bom_is_ignored(self, tmp_path):
+        text = "1.5,2.0,1,0\n0.5,1.0,0,1\n3.0,1.0,1,1\n"
+        plain = write(tmp_path, text)
+        bom = write(tmp_path, "\ufeff" + text, "bom.csv")  # EF BB BF in UTF-8
+        ds, plain_ds = load_csv(bom, 2), load_csv(plain, 2)
+        assert np.array_equal(ds.features, plain_ds.features) and np.array_equal(ds.labels, plain_ds.labels)
+        for got, want in zip(load_features(bom, 2), load_features(plain, 2)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    # a byte-order mark after the first byte of the file is data
+    @pytest.mark.parametrize("text", ["1.0,2.0,1,0\n\ufeff1.0,2.0,1,0\n", "1.0,2.0,1,0\n#1.0,2.0,1,0\n"])
     def test_bom_and_hash_are_non_numeric(self, tmp_path, text):
         path = write(tmp_path, text)
         lineno = text.count("\n")

@@ -219,14 +219,16 @@ def test_route_pairs_matches_sequential_reference(theta, first_step, monkeypatch
     ds = synthetic_dataset(25, 3, 4, seed=1, label_noise=0.3)
     weights = rng.random(25)
     weights /= weights.sum()
-    for targets in ((30, 30), (5, 60), (0, 12), (40, 0), (0, 0)):
-        cfg = ConstraintConfig(theta=theta, target_must=targets[0], target_cannot=targets[1],
-                               max_attempts=max(sum(targets), 1) * 3)
-        sets = sample_constraints(ds, weights, cfg, np.random.Generator(np.random.PCG64(9)))
-        uniforms = np.random.Generator(np.random.PCG64(9)).random(2 * cfg.max_attempts)
-        must, cannot = route_sequential(np.cumsum(weights), uniforms, ds.labels, theta, *targets)
-        assert sets.must.tolist() == [list(p) for p in must]
-        assert sets.cannot.tolist() == [list(p) for p in cannot]
+    # the default budget, and one of 3 attempts per target, which leaves some lists short
+    for factor in (constraints.DEFAULT_ATTEMPT_FACTOR, 3):
+        monkeypatch.setattr(constraints, "DEFAULT_ATTEMPT_FACTOR", factor)
+        for targets in ((30, 30), (5, 60), (0, 12), (40, 0), (0, 0)):
+            cfg = ConstraintConfig(theta=theta, target_must=targets[0], target_cannot=targets[1])
+            sets = sample_constraints(ds, weights, cfg, np.random.Generator(np.random.PCG64(9)))
+            uniforms = np.random.Generator(np.random.PCG64(9)).random(2 * cfg.max_attempts)
+            must, cannot = route_sequential(np.cumsum(weights), uniforms, ds.labels, theta, *targets)
+            assert sets.must.tolist() == [list(p) for p in must]
+            assert sets.cannot.tolist() == [list(p) for p in cannot]
 
 
 @pytest.mark.parametrize("k", [1, 3, 10])
