@@ -248,22 +248,13 @@ def compare_methods(cfg: ExperimentConfig, methods, dataset: MultiLabelDataset) 
 
     reference = order[0]
     tests = {}
-    ref_report = reports[reference]
     for name in METRIC_NAMES:
         tests[name] = {}
-        ref_vals = np.asarray(ref_report.unit_values[name])
         for key in order[1:]:
-            other_vals = np.asarray(reports[key].unit_values[name])
-            result = paired_t_test(ref_vals, other_vals)
-            if not result.significant:
-                marker = "tie"
-            else:
-                ref_better = (
-                    ref_vals.mean() > other_vals.mean()
-                    if name in HIGHER_IS_BETTER
-                    else ref_vals.mean() < other_vals.mean()
-                )
-                marker = "win" if ref_better else "loss"
+            result = paired_t_test(reports[reference].unit_values[name], reports[key].unit_values[name])
+            # t's sign is that of the mean difference, reference minus other
+            ref_better = result.t > 0 if name in HIGHER_IS_BETTER else result.t < 0
+            marker = ("win" if ref_better else "loss") if result.significant else "tie"
             tests[name][key] = {**result._asdict(), "marker": marker}
     return {
         "methods": order,

@@ -17,6 +17,7 @@ from .errors import ConfigError, ValidationError, checked_array, checked_float, 
 
 DEFAULT_K = 10
 DEFAULT_SMOOTHING = 1.0
+SMALLEST_SMOOTHING = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,12 +71,15 @@ class MlknnModel:
 
 
 def checked_smoothing(smoothing, k_neighbors: int) -> float:
-    """``smoothing`` as a ``float``, else ``ConfigError``: a real that is finite
-    and positive, and small enough that ``smoothing * (k_neighbors + 1)``, the
-    largest denominator MLKNN forms, is finite too."""
+    """``smoothing`` as a ``float``, else ``ConfigError``: a finite real, at least
+    the smallest normal float (a subnormal one can underflow both likelihoods
+    to 0 and a posterior to 0 / 0), and small enough that ``smoothing *
+    (k_neighbors + 1)``, the largest denominator MLKNN forms, is finite too."""
     s = checked_float("smoothing", smoothing)
     if not (math.isfinite(s) and s > 0.0):
         raise ConfigError(f"smoothing must be finite and positive, got {s}")
+    if s < SMALLEST_SMOOTHING:
+        raise ConfigError(f"smoothing must be at least {SMALLEST_SMOOTHING}, the smallest normal float, got {s}")
     if not math.isfinite(s * (k_neighbors + 1)):
         raise ConfigError(f"smoothing * (k_neighbors + 1) must be finite, got smoothing={s} "
                           f"with k_neighbors={k_neighbors}")

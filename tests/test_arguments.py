@@ -147,8 +147,8 @@ def synthetic_float(name, v):
 
 
 def smoothing_range(v, k):
-    """Finite and positive, with smoothing * (k + 1) finite."""
-    return math.isfinite(v) and v > 0.0 and math.isfinite(v * (k + 1))
+    """Finite and at least the smallest normal float, with smoothing * (k + 1) finite."""
+    return math.isfinite(v) and v >= np.finfo(np.float64).tiny and math.isfinite(v * (k + 1))
 
 
 DEFAULT_K = VpcmeConfig.k_neighbors
@@ -334,6 +334,25 @@ LABELS_12 = np.array([[i % 2 == 0, i % 3 == 0] for i in range(12)])
 ], ids=["VpcmeConfig", "ExperimentConfig", "fit_mlknn"])
 def test_smoothing_that_overflows_mlknn_is_rejected(make, smoothing):
     with pytest.raises(ConfigError, match=re.escape(f"got smoothing={smoothing} with k_neighbors=10")):
+        make(smoothing)
+
+
+# The smoothing floor: a subnormal smoothing divided by the counts underflows
+# to 0, and a posterior whose two likelihoods both do is 0 / 0. 5e-324 gave
+# NaN posteriors on synthetic_dataset(200, 5, 4, seed=1).
+
+SUBNORMAL_DATA = synthetic_dataset(200, 5, 4, seed=1)
+
+
+@pytest.mark.parametrize("smoothing", [5e-324, 2e-323])
+@pytest.mark.parametrize("make", [
+    lambda s: VpcmeConfig(smoothing=s),
+    lambda s: ExperimentConfig(smoothing=s),
+    lambda s: fit_mlknn(SUBNORMAL_DATA.features, SUBNORMAL_DATA.labels, 10, s),
+], ids=["VpcmeConfig", "ExperimentConfig", "fit_mlknn"])
+def test_subnormal_smoothing_is_rejected(make, smoothing):
+    message = f"smoothing must be at least {np.finfo(np.float64).tiny}, the smallest normal float, got {smoothing}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         make(smoothing)
 
 

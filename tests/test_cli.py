@@ -412,6 +412,29 @@ class TestTrainPredict:
         assert err.startswith("error: smoothing must be finite and positive")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("smoothing", ["5e-324", "2e-323"])
+    def test_train_rejects_a_subnormal_smoothing(self, tmp_path, capsys, smoothing):
+        data = tmp_path / "data.csv"
+        save_csv(synthetic_dataset(200, 5, 4, seed=1), str(data))
+        model_path = tmp_path / "model.npz"
+        assert run_cli("train", "--data", str(data), "--labels", "4", f"--smoothing={smoothing}",
+                       "--out", str(model_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: smoothing must be at least {np.finfo(np.float64).tiny}")
+        assert err.count("\n") == 1
+        assert not model_path.exists()
+
+    def test_smallest_normal_smoothing_predicts_finite_scores(self, tmp_path):
+        data = tmp_path / "data.csv"
+        save_csv(synthetic_dataset(200, 5, 4, seed=1), str(data))
+        model_path, pred_path = str(tmp_path / "model.npz"), str(tmp_path / "pred.csv")
+        assert run_cli("train", "--data", str(data), "--labels", "4", "--ensemble-size", "3",
+                       f"--smoothing={float(np.finfo(np.float64).tiny)!r}", "--out", model_path) == 0
+        assert run_cli("predict", "--model", model_path, "--data", str(data), "--labels", "4",
+                       "--out", pred_path) == 0
+        scores = np.loadtxt(pred_path, delimiter=",", skiprows=1)[:, :4]
+        assert scores.shape == (200, 4) and np.all(np.isfinite(scores))
+
 
 class TestEntryPoint:
     def test_module_invocation(self, data_csv):

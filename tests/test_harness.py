@@ -76,9 +76,13 @@ class TestCriticalTable:
             want = scipy_stats.t.ppf(0.995, df)
             assert critical_value(df) == pytest.approx(want, abs=5e-5)
 
-    def test_beyond_table_uses_normal(self):
-        assert critical_value(201) == NORMAL_QUANTILE_0995
-        assert critical_value(10_000) == NORMAL_QUANTILE_0995
+    def test_beyond_table_matches_scipy_quantiles(self):
+        # the Cornish-Fisher expansion, not the normal quantile 2.5758 that
+        # df 201's 2.6005 would make anti-conservative
+        for df in range(201, 5001):
+            want = scipy_stats.t.ppf(0.995, df)
+            assert critical_value(df) == pytest.approx(want, abs=5e-5)
+        assert critical_value(10_000) > NORMAL_QUANTILE_0995
 
     def test_table_is_decreasing(self):
         assert list(CRITICAL_001) == sorted(CRITICAL_001, reverse=True)
@@ -333,6 +337,22 @@ class TestCompareMethods:
                                      dataset=synthetic_dataset(50, 3, 3, seed=13))
         cell = comparison["tests"][metric]["mlknn_single"]
         assert cell["significant"]
+        assert cell["marker"] == marker
+
+    @pytest.mark.parametrize("reference_higher, marker", [(True, "loss"), (False, "win")])
+    def test_constant_difference_markers(self, monkeypatch, reference_higher, marker):
+        # every unit differs by exactly 0.25: zero variance, t = ±inf
+        high, low = (0.5, 0.75, 1.0), (0.25, 0.5, 0.75)
+
+        def fake_cross_validate(cfg, ds):
+            values = high if (cfg.method == "vpcme") == reference_higher else low
+            return EvaluationReport({}, {name: values for name in METRIC_NAMES}, ())
+
+        monkeypatch.setattr(harness, "cross_validate", fake_cross_validate)
+        comparison = compare_methods(self.CFG, ("vpcme", "mlknn_single"),
+                                     dataset=synthetic_dataset(50, 3, 3, seed=13))
+        cell = comparison["tests"]["hamming_loss"]["mlknn_single"]
+        assert math.isinf(cell["t"]) and cell["significant"]
         assert cell["marker"] == marker
 
     def test_vpcme_ranking_loss_not_worse_than_single(self):

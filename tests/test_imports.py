@@ -101,6 +101,7 @@ def test_only_frozen_array_sets_array_flags():
 @pytest.mark.parametrize("rule, owner", [
     ("theta must lie in [0, 1]", "constraints.py"),
     ("must be smaller than the instance count", "mlknn.py"),
+    ("the smallest normal float", "mlknn.py"),
 ])
 def test_each_rule_has_one_owner(rule, owner):
     assert sorted(p.name for p in PACKAGE.glob("*.py") if rule in p.read_text()) == [owner]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vpcme.errors import UndefinedMetricError, ValidationError
 from vpcme.metrics import (
@@ -328,3 +329,51 @@ class TestProperties:
         for name in a:
             assert a[name].value == pytest.approx(b[name].value, abs=1e-12)
             assert a[name].skipped == b[name].skipped
+
+
+LABEL_METRICS = {"hamming_loss": hamming_loss, "f1": f1_metric, "recall": recall}
+RANKING_METRICS = {
+    "ranking_loss": ranking_loss,
+    "one_error": one_error,
+    "coverage": coverage,
+    "average_precision": average_precision,
+}
+
+
+@st.composite
+def truths_bipartitions_scores(draw):
+    """Random truths with some rows forced empty or full, random
+    bipartitions, and scores on four levels, so that ties are common."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    truths = draw(arrays(bool, (n, m)))
+    forced = draw(arrays(np.int8, n, elements=st.integers(0, 2)))  # 1 empty, 2 full
+    truths[forced == 1] = False
+    truths[forced == 2] = True
+    preds = draw(arrays(bool, (n, m)))
+    scores = draw(arrays(np.float64, (n, m), elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+    return truths, preds, scores
+
+
+def value_or_undefined(metric, *args):
+    try:
+        return metric(*args)
+    except UndefinedMetricError:
+        return "undefined"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=truths_bipartitions_scores())
+def test_evaluate_all_agrees_with_each_public_metric(case):
+    # evaluate_all and the public functions reach each metric's code by two
+    # paths: checked once and ranked from the scores, or checked per call and
+    # ordered from the ranks. Their values must be equal, not close.
+    truths, preds, scores = case
+    ranks = rank_from_scores(scores)
+    public = {name: value_or_undefined(f, truths, preds) for name, f in LABEL_METRICS.items()}
+    public.update({name: value_or_undefined(f, truths, ranks) for name, f in RANKING_METRICS.items()})
+    try:
+        results = evaluate_all(truths, preds, scores)
+    except UndefinedMetricError:
+        assert "undefined" in public.values()
+        return
+    assert {name: mv.value for name, mv in results.items()} == public
