@@ -28,10 +28,12 @@ KNN_EXTRA = 8
 # thread, min of 15) on a 2-core Xeon VM with 2 MiB of L2 per core, from
 # 2^16 to 2^21: 33.2, 29.0, 28.0, 28.4, 31.8, 38.6 ms; at the scene shape
 # (1925 x 126): 63.6, 55.7, 51.5, 48.2, 55.8, 74.8 ms.
-# Cold, every block is a fresh mmap until a freed block this large lifts
-# glibc's mmap threshold, as the CLI's CSV parse does: a library
-# cross_validate in a new process (yeast shape, 5 folds, 1 member, median of
-# 8) faults 36k times with 0.09 s system time at 2^19, 8k and 0.02 s at 2^17.
+# Unless a larger freed block has lifted glibc's mmap and trim thresholds, as
+# the CLI's CSV parse does, a block's two temporaries go back to the system
+# between blocks and are faulted in afresh. Yeast shape, 5 folds, 1 repeat,
+# 2 workers, getrusage per op after a warm-up: `vpcme cv` in-process faults
+# about 10 times per op, at 1 and at 30 members; a library cross_validate at
+# 30 members, 0.69-0.76 M times per repeat, with 1.26-1.41 s system of 5.8-6.0 s.
 KNN_BLOCK = 1 << 19
 
 

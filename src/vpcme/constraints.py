@@ -57,14 +57,11 @@ class PairConstraintSets:
     cannot: np.ndarray
 
     def __post_init__(self):
-        must = frozen_array("must-link pairs", self.must, np.int64, (None, 2), bound=math.inf)
-        cannot = frozen_array("cannot-link pairs", self.cannot, np.int64, (None, 2), bound=math.inf)
-        if must.size and np.any(must[:, 0] == must[:, 1]):
-            raise ValidationError("must-link pairs may not pair an instance with itself")
-        if cannot.size and np.any(cannot[:, 0] == cannot[:, 1]):
-            raise ValidationError("cannot-link pairs may not pair an instance with itself")
-        object.__setattr__(self, "must", must)
-        object.__setattr__(self, "cannot", cannot)
+        for field, name in (("must", "must-link pairs"), ("cannot", "cannot-link pairs")):
+            pairs = frozen_array(name, getattr(self, field), np.int64, (None, 2), bound=math.inf)
+            if np.any(pairs[:, 0] == pairs[:, 1]):
+                raise ValidationError(f"{name} may not pair an instance with itself")
+            object.__setattr__(self, field, pairs)
 
     @property
     def n_must(self) -> int:

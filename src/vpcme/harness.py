@@ -176,12 +176,6 @@ def _cross_validate(cfg, dataset, sizes):
     """
     n = dataset.instance_count
     assignments = [kfold_split(n, cfg.folds, cfg.seed + repeat) for repeat in range(cfg.repeats)]
-    min_train = n - math.ceil(n / cfg.folds)
-    if min_train <= cfg.k_neighbors:
-        raise ConfigError(
-            f"training folds of {min_train} instances are too small for "
-            f"k_neighbors={cfg.k_neighbors}"
-        )
     units = [(repeat, fold) for repeat in range(cfg.repeats) for fold in range(cfg.folds)]
     largest = replace(cfg, ensemble_size=max(sizes))
 

@@ -7,7 +7,8 @@ set makes a metric undefined are skipped and counted; callers that need the
 counts use :func:`evaluate_all`. Each metric's value and skip count come from
 one private function of checked inputs, which its public function and
 :func:`evaluate_all` both call: the truths and bipartitions for the label
-metrics, the truths in rank order for the ranking metrics.
+metrics, the truths in rank order for the ranking metrics. Every metric, and
+:func:`rank_from_scores`, rejects a matrix with no label columns.
 """
 
 from dataclasses import dataclass
@@ -36,31 +37,37 @@ class MetricValue:
     skipped: int
 
 
-def _as_matrix(x, name, shape=(None, None)):
-    m = checked_array(name, x, bool, shape)
-    if m.shape[0] == 0:
-        raise UndefinedMetricError(f"{name} has no instances; metric undefined")
+def _with_labels(m, name):
+    """The checked matrix ``m``, which must have at least one label column."""
+    if m.shape[1] < 1:
+        raise ValidationError(f"{name} must be a matrix with at least one label")
     return m
+
+
+def _as_truths(truths):
+    """The checked truths: at least one instance and at least one label."""
+    y = checked_array("truths", truths, bool, (None, None))
+    if y.shape[0] == 0:
+        raise UndefinedMetricError("truths has no instances; metric undefined")
+    return _with_labels(y, "truths")
 
 
 def _as_labels(truths, bipartitions):
     """The checked truths and a checked bipartition matrix of their shape."""
-    y = _as_matrix(truths, "truths")
-    return y, _as_matrix(bipartitions, "bipartitions", y.shape)
+    y = _as_truths(truths)
+    return y, checked_array("bipartitions", bipartitions, bool, y.shape)
 
 
 def _rank_order(scores, shape=(None, None)):
     """Each row's label indices, best first: higher score first, ties to the lower index."""
-    arr = checked_array("scores", scores, np.float64, shape, finite=True)
-    if arr.shape[1] < 1:
-        raise ValidationError("scores must be a matrix with at least one label")
+    arr = _with_labels(checked_array("scores", scores, np.float64, shape, finite=True), "scores")
     return np.argsort(-arr, axis=1, kind="stable")
 
 
 def _in_rank_order(truths, ranks):
     """The checked truths, each row rearranged into rank order (best rank
     first) by ``ranks``: a matrix of their shape whose rows permute 1..M."""
-    y = _as_matrix(truths, "truths")
+    y = _as_truths(truths)
     r = checked_array("ranks", ranks, np.int64, y.shape)
     order = np.argsort(r, axis=1, kind="stable")
     if not np.all(np.take_along_axis(r, order, axis=1) == np.arange(1, y.shape[1] + 1)):

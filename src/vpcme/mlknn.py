@@ -72,7 +72,7 @@ class MlknnModel:
 
 def checked_smoothing(smoothing, k_neighbors: int) -> float:
     """``smoothing`` as a ``float``, else ``ConfigError``: a finite real, at least
-    the smallest normal float (a subnormal one can underflow both likelihoods
+    ``SMALLEST_SMOOTHING`` (a subnormal one can underflow both likelihoods
     to 0 and a posterior to 0 / 0), and small enough that ``smoothing *
     (k_neighbors + 1)``, the largest denominator MLKNN forms, is finite too."""
     s = checked_float("smoothing", smoothing)

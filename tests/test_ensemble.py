@@ -298,6 +298,29 @@ class TestPrediction:
         assert mean[0, 2] == 0.5
         assert np.allclose(mean, [[0.65, 0.35, 0.5, 0.7]])
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_majority_vote_equals_the_member_loop(self, seed):
+        # the reference adds votes and scores up one member at a time. A
+        # third of the stacks are rounded to 0.1, so exact half splits and
+        # mean scores of 0.5 occur, and every fifth is 1 x 1, the shape
+        # numpy would otherwise sum pairwise.
+        rng = np.random.default_rng(seed)
+        for trial in range(300):
+            s = int(rng.integers(1, 60))
+            rows, labels = (1, 1) if trial % 5 == 0 else rng.integers(1, 8, size=2)
+            stack = rng.random((s, rows, labels))
+            if trial % 3 == 0:
+                stack = np.round(stack, 1)
+            votes = np.zeros((rows, labels), dtype=np.int64)
+            total = np.zeros((rows, labels))
+            for member in stack:
+                votes += member > 0.5
+                total += member
+            mean = total / s
+            bip, got = majority_vote(stack)
+            assert np.array_equal(got, mean)
+            assert np.array_equal(bip, (2 * votes > s) | ((2 * votes == s) & (mean > 0.5)))
+
     def test_single_member_identity(self):
         ds = small_dataset(seed=19)
         model = train_vpcme(ds, quick_cfg(ensemble_size=1))

@@ -152,11 +152,13 @@ class TestCrossValidate:
         with pytest.raises(ConfigError, match="^cannot split 12 instances into 13 folds$"):
             cross_validate(cfg, dataset=ds)
 
-    def test_fold_too_small_rejected_before_training(self):
+    def test_fold_too_small_rejected_by_the_mlknn_size_rule(self):
+        # 12 rows in 6 folds train on 10: fit_mlknn, the rule's one owner,
+        # stops the first fold unit
         ds = synthetic_dataset(12, 3, 3, seed=7)
         cfg = ExperimentConfig(method="mlknn_single", k_neighbors=10,
                                folds=6, repeats=1, seed=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^k_neighbors=10 must be smaller than the instance count 10$"):
             cross_validate(cfg, dataset=ds)
 
     def test_zscore_changes_results_on_skewed_scales(self):

@@ -4,10 +4,11 @@
 Every name a module imports from a sibling is used in it; ``__init__.py``,
 whose imports are the package's public names, is exempt. Only ``errors.py``
 freezes arrays: every other module keeps them through ``frozen_array``.
-theta's range and MLKNN's k-below-the-row-count rule are each written in
-one module, which the others defer to."""
+Each argument rule listed below is written once, in one module, which the
+others defer to. The package imports only the standard library and numpy."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,45 @@ def test_only_frozen_array_sets_array_flags():
     ("theta must lie in [0, 1]", "constraints.py"),
     ("must be smaller than the instance count", "mlknn.py"),
     ("the smallest normal float", "mlknn.py"),
+    ("must be a matrix with at least one label", "metrics.py"),
+    ("may not pair an instance with itself", "constraints.py"),
 ])
 def test_each_rule_has_one_owner(rule, owner):
-    assert sorted(p.name for p in PACKAGE.glob("*.py") if rule in p.read_text()) == [owner]
+    # counted, not just found: a second copy in the owner's module fails too
+    counts = {p.name: p.read_text().count(rule) for p in PACKAGE.glob("*.py")}
+    assert {name: count for name, count in counts.items() if count} == {owner: 1}
+
+
+ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy"}
+
+
+def foreign_imports(source):
+    """(line, top-level module) of each absolute import, at any depth, of a
+    module outside the standard library and numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.split(".")[0]))
+    return [(line, name) for line, name in found if name not in ALLOWED_TOP_LEVEL]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library_and_numpy(path):
+    # pyproject.toml promises numpy alone; the test extras (scipy,
+    # hypothesis, jsonschema) are installed here, so a stray import of one
+    # of them would still run
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_an_import_outside_numpy_is_caught():
+    source = (
+        "import os.path, numpy as np\n"
+        "from . import errors\n"
+        "from numpy.linalg import eigh\n"
+        "def f():\n"
+        "    from scipy import stats\n"
+        "    import hypothesis.strategies\n"
+    )
+    assert foreign_imports(source) == [(5, "scipy"), (6, "hypothesis")]

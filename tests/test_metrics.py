@@ -377,3 +377,29 @@ def test_evaluate_all_agrees_with_each_public_metric(case):
         assert "undefined" in public.values()
         return
     assert {name: mv.value for name, mv in results.items()} == public
+
+
+NO_LABELS = np.zeros((3, 0), bool)
+NO_RANKS = np.zeros((3, 0), np.int64)
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: hamming_loss(NO_LABELS, NO_LABELS), "truths", id="hamming_loss"),
+    pytest.param(lambda: ranking_loss(NO_LABELS, NO_RANKS), "truths", id="ranking_loss"),
+    pytest.param(lambda: one_error(NO_LABELS, NO_RANKS), "truths", id="one_error"),
+    pytest.param(lambda: coverage(NO_LABELS, NO_RANKS), "truths", id="coverage"),
+    pytest.param(lambda: average_precision(NO_LABELS, NO_RANKS), "truths", id="average_precision"),
+    pytest.param(lambda: f1_metric(NO_LABELS, NO_LABELS), "truths", id="f1_metric"),
+    pytest.param(lambda: recall(NO_LABELS, NO_LABELS), "truths", id="recall"),
+    pytest.param(lambda: evaluate_all(NO_LABELS, NO_LABELS, np.zeros((3, 0))), "truths", id="evaluate_all"),
+    pytest.param(lambda: rank_from_scores(np.zeros((3, 0))), "scores", id="rank_from_scores"),
+])
+def test_every_metric_rejects_a_matrix_with_no_labels(call, name):
+    # with no label column a metric has nothing to count or rank: the one
+    # rule rejects the matrix before any metric divides, reduces or skips
+    with pytest.raises(ValidationError, match=f"^{name} must be a matrix with at least one label$"):
+        call()
+
+
+def test_rank_from_scores_accepts_a_matrix_with_no_rows():
+    assert rank_from_scores(np.zeros((0, 3))).shape == (0, 3)
