@@ -198,17 +198,16 @@ def majority_vote(scores):
 
     A label is predicted when strictly more than half the members vote for
     it (score above 0.5); an exact half split falls back to the mean score
-    against 0.5. Votes are ``(stack > 0.5).sum(axis=0)`` and mean scores
-    ``stack.sum(axis=0) / s``, both adding the members up in list order.
+    against 0.5. Votes are ``(stack > 0.5).sum(axis=0)``; mean scores are
+    the running sum ``np.cumsum(stack, axis=0)[-1] / s``, which adds the
+    members in list order.
     """
     stack = checked_array("scores", scores, np.float64, (None, None, None), finite=True)
     s = stack.shape[0]
     if s == 0:
         raise ValidationError("scores must hold at least one member's matrix")
     votes = (stack > 0.5).sum(axis=0)
-    # numpy adds a 1 x 1 matrix's members pairwise; a running sum keeps list order
-    score_sum = np.cumsum(stack, axis=0)[-1] if stack[0].size == 1 else stack.sum(axis=0)
-    mean_scores = score_sum / s
+    mean_scores = np.cumsum(stack, axis=0)[-1] / s
     bipartition = (2 * votes > s) | ((2 * votes == s) & (mean_scores > 0.5))
     return bipartition, mean_scores
 

@@ -302,8 +302,8 @@ class TestPrediction:
     def test_majority_vote_equals_the_member_loop(self, seed):
         # the reference adds votes and scores up one member at a time. A
         # third of the stacks are rounded to 0.1, so exact half splits and
-        # mean scores of 0.5 occur, and every fifth is 1 x 1, the shape
-        # numpy would otherwise sum pairwise.
+        # mean scores of 0.5 occur, and every fifth is 1 x 1, the shape a
+        # plain stack.sum(axis=0) adds pairwise, out of list order.
         rng = np.random.default_rng(seed)
         for trial in range(300):
             s = int(rng.integers(1, 60))

@@ -161,6 +161,15 @@ class TestCrossValidate:
         with pytest.raises(ConfigError, match="^k_neighbors=10 must be smaller than the instance count 10$"):
             cross_validate(cfg, dataset=ds)
 
+    def test_only_the_first_fold_too_small_reports_its_own_rows(self):
+        # 13 rows in 6 folds: fold 0 tests on 3 and trains on 10, the others
+        # train on 11, so only unit 0 breaks k_neighbors=10
+        ds = synthetic_dataset(13, 3, 3, seed=7)
+        cfg = ExperimentConfig(method="mlknn_single", k_neighbors=10,
+                               folds=6, repeats=1, seed=0)
+        with pytest.raises(ConfigError, match="^k_neighbors=10 must be smaller than the instance count 10$"):
+            cross_validate(cfg, dataset=ds)
+
     def test_zscore_changes_results_on_skewed_scales(self):
         rng = np.random.Generator(np.random.PCG64(8))
         x = rng.normal(size=(80, 3))
