@@ -61,7 +61,7 @@ from .metrics import (
     ranking_loss,
     recall,
 )
-from .mlknn import MlknnModel, fit_mlknn, posterior_scores, predict_bipartition
+from .mlknn import MlknnModel, fit_mlknn, posterior_scores
 from .projection import (
     ProjectionModel,
     ScatterPair,

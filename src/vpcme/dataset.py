@@ -29,8 +29,7 @@ class MultiLabelDataset:
             raise ValidationError("dataset needs at least one instance")
         if features.shape[1] < 1:
             raise ValidationError("dataset needs at least one feature column")
-        if labels.shape[1] < 2:
-            raise ValidationError("dataset needs at least two label columns")
+        _check_label_columns(labels.shape[1])
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
@@ -51,6 +50,11 @@ class MultiLabelDataset:
         each index lies in ``[0, instance_count)``."""
         idx = checked_array("indices", indices, np.int64, (None,), bound=self.instance_count)
         return MultiLabelDataset(self.features[idx], self.labels[idx])
+
+
+def _check_label_columns(count: int) -> None:
+    if count < 2:
+        raise ValidationError("dataset needs at least two label columns")
 
 
 @dataclass(frozen=True)
@@ -144,8 +148,7 @@ def _parse_lines(path, lines, width, feature_count):
 
 def load_csv(path, label_count: int) -> MultiLabelDataset:
     """Parse a dense CSV whose trailing ``label_count`` columns are 0/1 labels."""
-    if checked_int("label_count", label_count, 0) < 2:
-        raise ValidationError("dataset needs at least two label columns")
+    _check_label_columns(checked_int("label_count", label_count, 0))  # before the file is read
     return MultiLabelDataset(*load_features(path, label_count))
 
 
@@ -189,32 +192,33 @@ def kfold_split(n: int, folds: int, seed: int) -> FoldAssignment:
     return FoldAssignment(fold_of_instance=np.argsort(perm) % folds)  # instance perm[i] gets fold i % folds
 
 
+_LABEL_CORRELATION = 0.5
+
+
 def synthetic_dataset(
     n: int,
     features: int,
     labels: int,
     seed: int,
     label_noise: float = 0.0,
-    label_correlation: float = 0.5,
 ) -> MultiLabelDataset:
     """Gaussian features with labels set by the sign of linear feature scores.
 
     Each label direction blends a shared component (weight
-    ``label_correlation``) with its own random direction, so labels are
+    ``_LABEL_CORRELATION``) with its own random direction, so labels are
     correlated but distinct. ``label_noise`` flips each label entry
     independently with that probability.
     """
     n, features = checked_int("n", n, 1), checked_int("features", features, 1)
     labels, seed = checked_int("labels", labels, 2), checked_int("seed", seed, 0)
     label_noise = checked_float("label_noise", label_noise)
-    label_correlation = checked_float("label_correlation", label_correlation)
-    if not 0.0 <= label_noise <= 1.0 or not 0.0 <= label_correlation <= 1.0:
-        raise ConfigError("label_noise and label_correlation must lie in [0, 1]")
+    if not 0.0 <= label_noise <= 1.0:
+        raise ConfigError("label_noise must lie in [0, 1]")
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.normal(size=(n, features))
     shared = rng.normal(size=features)
     own = rng.normal(size=(features, labels))
-    directions = label_correlation * shared[:, None] + (1.0 - label_correlation) * own
+    directions = _LABEL_CORRELATION * shared[:, None] + (1.0 - _LABEL_CORRELATION) * own
     y = (x @ directions) > 0.0
     if label_noise > 0.0:
         flips = rng.random(size=y.shape) < label_noise

@@ -18,15 +18,7 @@ from ._kernels import parallel_map
 from .constraints import ConstraintConfig, sample_constraints
 from .dataset import MultiLabelDataset
 from .errors import ConfigError, ValidationError, checked_array, checked_bool, checked_int, frozen_array
-from .mlknn import (
-    DEFAULT_K,
-    DEFAULT_SMOOTHING,
-    MlknnModel,
-    checked_smoothing,
-    fit_mlknn,
-    posterior_scores,
-    predict_bipartition,
-)
+from .mlknn import DEFAULT_K, DEFAULT_SMOOTHING, MlknnModel, checked_smoothing, fit_mlknn, posterior_scores
 from .projection import ProjectionModel, fit_projection, transform
 
 MODEL_FORMAT = "vpcme-model/2"
@@ -127,9 +119,11 @@ def _fit_member(ds, weights, cfg, member_index):
 
 
 def _fit_classifier(points, labels, cfg):
-    """MLKNN on ``points`` plus the training rows it gets wrong (exact label set)."""
+    """MLKNN on ``points`` plus the training rows it gets wrong (exact label
+    set): the member's training self-prediction is its one-member vote."""
     classifier = fit_mlknn(points, labels, cfg.k_neighbors, cfg.smoothing)
-    return classifier, (predict_bipartition(classifier, points) != labels).any(axis=1)
+    bipartition, _ = majority_vote([posterior_scores(classifier, points)])
+    return classifier, (bipartition != labels).any(axis=1)
 
 
 def train_vpcme(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:

@@ -147,8 +147,3 @@ def posterior_scores(model: MlknnModel, query) -> np.ndarray:
     like_neg = (s + model.freq_neg[cols, c]) / (s * (k + 1) + n_neg)
     num = model.prior_pos * like_pos
     return num / (num + (1.0 - model.prior_pos) * like_neg)
-
-
-def predict_bipartition(model: MlknnModel, query) -> np.ndarray:
-    """Boolean label matrix: label present iff its posterior exceeds 0.5."""
-    return posterior_scores(model, query) > 0.5

@@ -307,9 +307,7 @@ def test_criterion_6_ensemble_size_trend():
     started = time.perf_counter()
     h1, h20, a1, a20 = [], [], [], []
     for seed in range(20):
-        ds = synthetic_dataset(
-            300, 6, 3, seed=1000 + seed, label_noise=0.1, label_correlation=0.5
-        )
+        ds = synthetic_dataset(300, 6, 3, seed=1000 + seed, label_noise=0.1)
         cfg = ExperimentConfig(method="vpcme", k_neighbors=10, folds=5, repeats=1, seed=seed)
         by_size = dict(run_sweep(cfg, SweepSpec("ensemble_size", (1, 20)), dataset=ds))
         h1.append(by_size[1].metrics["hamming_loss"].mean)

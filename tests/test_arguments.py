@@ -164,7 +164,6 @@ FLOAT_ENTRY_POINTS = {
     "fit_mlknn.smoothing": (lambda v: smoothing_range(v, 2),
                             lambda v: fit_mlknn(POINTS, LABELS, 2, v).smoothing),
     "synthetic_dataset.label_noise": (unit_range, lambda v: synthetic_float("label_noise", v)),
-    "synthetic_dataset.label_correlation": (unit_range, lambda v: synthetic_float("label_correlation", v)),
 }
 
 UNIT = st.floats(-0.5, 1.5)

@@ -21,7 +21,7 @@ from vpcme.ensemble import (
 )
 from vpcme.errors import ConfigError, ValidationError
 from vpcme.metrics import rank_from_scores
-from vpcme.mlknn import MlknnModel, fit_mlknn, posterior_scores, predict_bipartition
+from vpcme.mlknn import MlknnModel, fit_mlknn, posterior_scores
 from vpcme.projection import ProjectionModel, fit_projection, transform
 
 
@@ -337,11 +337,9 @@ class TestPrediction:
     @pytest.mark.parametrize("call", [
         lambda model, rows: transform(model.members[0][0], rows),
         lambda model, rows: posterior_scores(model.members[0][1], rows),
-        lambda model, rows: predict_bipartition(model.members[0][1], rows),
         predict_ensemble,
         lambda model, rows: rank_from_scores(rows),
-    ], ids=["transform", "posterior_scores", "predict_bipartition", "predict_ensemble",
-            "rank_from_scores"])
+    ], ids=["transform", "posterior_scores", "predict_ensemble", "rank_from_scores"])
     def test_takes_row_matrices_only(self, call):
         ds = small_dataset()
         model = train_single_mlknn(ds, quick_cfg())
@@ -390,6 +388,16 @@ class TestSingleMlknn:
         assert np.array_equal(classifier.freq_pos, direct.freq_pos)
         bip, scores = predict_ensemble(model, ds.features[:3])
         assert np.array_equal(scores, posterior_scores(direct, ds.features[:3]))
+
+    def test_an_exact_half_training_score_counts_as_absent(self):
+        # row 4's posterior of label 1 is exactly 0.5 and the row lacks the
+        # label; under a ">= 0.5" member rule the error would be 4/6, not 3/6
+        points = np.array([[0.0], [1.0], [2.0], [3.0], [6.0], [7.0]])
+        labels = np.array([[1, 0], [0, 1], [0, 1], [0, 1], [0, 0], [1, 0]], dtype=bool)
+        model = train_single_mlknn(MultiLabelDataset(points, labels), quick_cfg(k_neighbors=2))
+        scores = posterior_scores(model.members[0][1], points)
+        assert scores[4, 1] == 0.5 and not labels[4, 1]
+        assert model.training_log[0][0] == np.mean(((scores > 0.5) != labels).any(axis=1)) == 0.5
 
 
 class TestPersistence:

@@ -367,7 +367,7 @@ class TestCompareMethods:
         assert cell["marker"] == marker
 
     def test_vpcme_ranking_loss_not_worse_than_single(self):
-        ds = synthetic_dataset(120, 4, 3, seed=14, label_noise=0.1, label_correlation=0.6)
+        ds = synthetic_dataset(120, 4, 3, seed=14, label_noise=0.1)
         cfg = replace(self.CFG, ensemble_size=10, repeats=3, seed=5)
         comparison = compare_methods(cfg, ("vpcme", "mlknn_single"), dataset=ds)
         vpcme_rl = comparison["reports"]["vpcme"].metrics["ranking_loss"].mean

@@ -105,6 +105,7 @@ def test_only_frozen_array_sets_array_flags():
     ("the smallest normal float", "mlknn.py"),
     ("must be a matrix with at least one label", "metrics.py"),
     ("may not pair an instance with itself", "constraints.py"),
+    ("dataset needs at least two label columns", "dataset.py"),
 ])
 def test_each_rule_has_one_owner(rule, owner):
     # counted, not just found: a second copy in the owner's module fails too

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vpcme.errors import ConfigError, ValidationError
-from vpcme.mlknn import fit_mlknn, posterior_scores, predict_bipartition
+from vpcme.ensemble import majority_vote
+from vpcme.mlknn import fit_mlknn, posterior_scores
 
 
 # ---------------------------------------------------------------------------
@@ -196,25 +197,25 @@ class TestPosterior:
 
 
 class TestBipartition:
+    # a member's bipartition is its one-member majority vote: a label is
+    # present iff its posterior exceeds 0.5
     def test_threshold(self):
         model = one_d_model()
         # query at 1.0 scores 1/3 on label 0 -> excluded
-        assert not predict_bipartition(model, np.array([[1.0]]))[0][0]
+        assert not posterior_scores(model, np.array([[1.0]]))[0][0] > 0.5
 
     def test_exact_half_is_negative(self):
         points = np.array([[0.0], [1.0], [10.0], [11.0]])
         labels = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=bool)
         model = fit_mlknn(points, labels, k_neighbors=2, smoothing=1.0)
-        scores = posterior_scores(model, np.array([[5.5]]))[0]
-        preds = predict_bipartition(model, np.array([[5.5]]))[0]
-        for s, p in zip(scores, preds):
-            assert p == (s > 0.5)
+        scores = posterior_scores(model, np.array([[5.5]]))
+        assert np.array_equal(scores, [[0.5, 0.5]])
+        assert not majority_vote([scores])[0].any()
 
     def test_score_vector_rule(self):
         model = one_d_model()
-        scores = posterior_scores(model, np.array([[0.2]]))[0]
-        preds = predict_bipartition(model, np.array([[0.2]]))[0]
-        assert np.array_equal(preds, scores > 0.5)
+        scores = posterior_scores(model, np.array([[0.2]]))
+        assert np.array_equal(majority_vote([scores])[0], scores > 0.5)
 
 
 class TestPermutationInvariance:
