@@ -17,7 +17,6 @@ import numpy as np
 
 from ._kernels import parallel_map
 from ._ttable import critical_value
-from .constraints import ConstraintConfig
 from .dataset import MultiLabelDataset, kfold_split
 from .ensemble import VpcmeConfig, majority_vote, member_scores, train_single_mlknn, train_vpcme
 from .errors import ConfigError, ValidationError, checked_array, checked_bool, checked_int
@@ -77,10 +76,8 @@ class SweepSpec:
         values = tuple(values)
         if not values:
             raise ConfigError("sweep needs at least one value")
-        if self.parameter == "ensemble_size":
-            values = tuple(checked_int("ensemble_size sweep value", v, 1) for v in values)
-        else:
-            values = tuple(ConstraintConfig(v, 0, 0).theta for v in values)  # theta's own checks
+        # each value as the member config checks and stores it
+        values = tuple(getattr(VpcmeConfig(**{self.parameter: v}), self.parameter) for v in values)
         object.__setattr__(self, "values", values)
 
 

@@ -52,8 +52,8 @@ class MlknnModel:
             raise ValidationError("freq_pos rows must sum to the per-label positive counts")
         if not np.array_equal(fneg.sum(axis=1), n - pos_totals):
             raise ValidationError("freq_neg rows must sum to the per-label negative counts")
-        if not np.all((prior > 0.0) & (prior < 1.0)):
-            raise ValidationError("smoothed priors must lie strictly inside (0, 1)")
+        if not np.all((prior > 0.0) & (prior <= 1.0)):
+            raise ValidationError("smoothed priors must lie in (0, 1]")
         for arr, name in ((points, "train_points"), (labels, "train_labels"),
                           (prior, "prior_pos"), (fpos, "freq_pos"), (fneg, "freq_neg")):
             object.__setattr__(self, name, arr)
@@ -130,20 +130,17 @@ def fit_mlknn(points, labels, k_neighbors: int = DEFAULT_K,
 
 
 def posterior_scores(model: MlknnModel, query) -> np.ndarray:
-    """Posterior probability of each label for each row of a finite query matrix."""
+    """Posterior probability of each label for each row of a finite query
+    matrix: one (labels x (k + 1)) posterior table per call, defined for priors
+    in (0, 1], read at each row's neighbor count of each label."""
     q = checked_array("query", query, np.float64, (None, model.dim), finite=True)
     if model.train_neighbors is not None and np.array_equal(q, model.train_points):
         neighbors = model.train_neighbors  # the training rows: reuse the fit's search
     else:
         neighbors = _kernels.knn(model.train_points, q, model.k_neighbors)
-    c = model.train_labels[neighbors].sum(axis=1)  # (m, r)
-    s = model.smoothing
-    k = model.k_neighbors
-    r = model.label_count
-    cols = np.arange(r)
-    n_pos = model.freq_pos.sum(axis=1)
-    n_neg = model.freq_neg.sum(axis=1)
-    like_pos = (s + model.freq_pos[cols, c]) / (s * (k + 1) + n_pos)
-    like_neg = (s + model.freq_neg[cols, c]) / (s * (k + 1) + n_neg)
-    num = model.prior_pos * like_pos
-    return num / (num + (1.0 - model.prior_pos) * like_neg)
+    s, k, prior = model.smoothing, model.k_neighbors, model.prior_pos[:, None]
+    like_pos = (s + model.freq_pos) / (s * (k + 1) + model.freq_pos.sum(axis=1, keepdims=True))
+    like_neg = (s + model.freq_neg) / (s * (k + 1) + model.freq_neg.sum(axis=1, keepdims=True))
+    num = prior * like_pos
+    table = num / (num + (1.0 - prior) * like_neg)  # (labels, k + 1)
+    return table[np.arange(model.label_count), model.train_labels[neighbors].sum(axis=1)]

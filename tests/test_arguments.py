@@ -253,7 +253,7 @@ def test_constraint_config_rejects_a_fractional_target():
 
 
 def test_sweep_rejects_an_infinite_ensemble_size():
-    with pytest.raises(ConfigError, match="^ensemble_size sweep value must be an integer, got inf$"):
+    with pytest.raises(ConfigError, match="^ensemble_size must be an integer, got inf$"):
         SweepSpec("ensemble_size", (math.inf,))
 
 

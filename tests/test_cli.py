@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from vpcme.cli import main
-from vpcme.dataset import format_rows, load_csv, load_features, save_csv, synthetic_dataset
+from vpcme.dataset import MultiLabelDataset, format_rows, load_csv, load_features, save_csv, synthetic_dataset
 from vpcme.ensemble import load_model, predict_ensemble, save_model
 from vpcme.errors import ValidationError
 from vpcme.harness import ExperimentConfig, train_method
@@ -205,6 +205,17 @@ class TestCv:
         err = capsys.readouterr().err
         assert "error: smoothing must be finite and positive, got nan" in err
         assert "nope.csv" not in err
+
+    @pytest.mark.parametrize("smoothing", ["1e-15", "1e-300"])
+    def test_a_label_every_row_carries_runs_at_a_tiny_smoothing(self, tmp_path, smoothing):
+        # its smoothed prior rounds to 1, which the model accepts
+        ds = synthetic_dataset(60, 4, 3, seed=5)
+        labels = ds.labels.copy()
+        labels[:, 0] = True
+        path = str(tmp_path / "always.csv")
+        save_csv(MultiLabelDataset(ds.features, labels), path)
+        assert run_cli("cv", "--data", path, "--labels", "3", "--ensemble-size", "2", "--repeats", "1",
+                       "--smoothing", smoothing, "--out", str(tmp_path / "cv.json")) == 0
 
 
 class TestSweeps:

@@ -5,7 +5,7 @@ Every name a module imports from a sibling is used in it; ``__init__.py``,
 whose imports are the package's public names, is exempt. Only ``errors.py``
 freezes arrays: every other module keeps them through ``frozen_array``.
 Each argument rule listed below is written once, in one module, which the
-others defer to. The package imports only the standard library and numpy."""
+others defer to, and no ``raise`` message is written twice. The package imports only the standard library and numpy."""
 
 import ast
 import sys
@@ -111,6 +111,56 @@ def test_each_rule_has_one_owner(rule, owner):
     # counted, not just found: a second copy in the owner's module fails too
     counts = {p.name: p.read_text().count(rule) for p in PACKAGE.glob("*.py")}
     assert {name: count for name, count in counts.items() if count} == {owner: 1}
+
+
+def raise_messages(source):
+    """(line, text) of each ``raise`` whose first argument is a string literal
+    or an f-string, the f-string as written."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+            message = node.exc.args[0]
+            if isinstance(message, ast.Constant) and isinstance(message.value, str):
+                found.append((node.lineno, message.value))
+            elif isinstance(message, ast.JoinedStr):
+                found.append((node.lineno, ast.unparse(message)))
+    return sorted(found)
+
+
+def repeated_messages(sources):
+    """Each raise message written more than once across ``sources``, a
+    name -> source mapping, with the (name, line) of every copy."""
+    where = {}
+    for name, source in sources.items():
+        for line, text in raise_messages(source):
+            where.setdefault(text, []).append((name, line))
+    return {text: places for text, places in where.items() if len(places) > 1}
+
+
+def test_each_raise_message_is_written_once():
+    # the one-owner rule above for every message, not only the listed ones
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert sum(len(raise_messages(s)) for s in sources.values()) > 50
+    assert repeated_messages(sources) == {}
+
+
+def test_a_repeated_raise_message_is_caught():
+    sources = {
+        "a.py": (
+            "def f(x, bad):\n"
+            "    if x:\n"
+            "        raise ValueError('x must be set')\n"
+            "    raise ValueError(f'{x} is too big')\n"
+            "    raise ValueError(bad)\n"
+        ),
+        "b.py": (
+            "def g(x, bad):\n"
+            "    raise ConfigError(f'{x} is too big') from None\n"
+            "    raise ValueError(bad)\n"
+            "    raise ValueError('x must be set, got ' + x)\n"
+        ),
+    }
+    assert repeated_messages(sources) == {"f'{x} is too big'": [("a.py", 4), ("b.py", 2)]}
 
 
 ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy"}

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from vpcme.errors import ConfigError, ValidationError
 from vpcme.ensemble import majority_vote
-from vpcme.mlknn import fit_mlknn, posterior_scores
+from vpcme import _kernels
+from vpcme.mlknn import SMALLEST_SMOOTHING, fit_mlknn, posterior_scores
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +114,30 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "prior",
-        [np.array([0.5, np.nan]), np.array([0.5, 1.0]), np.array([0.5, 0.5, 0.5])],
-        ids=["nan", "one", "long"],
+        [np.array([0.5, np.nan]), np.array([0.5, 0.0]), np.array([0.5, np.nextafter(1.0, 2.0)]),
+         np.array([0.5, 0.5, 0.5])],
+        ids=["nan", "zero", "above-one", "long"],
     )
-    def test_model_rejects_priors_outside_the_open_unit_interval_or_of_wrong_shape(self, prior):
+    def test_model_rejects_priors_outside_the_half_open_unit_interval_or_of_wrong_shape(self, prior):
         model = one_d_model()
         with pytest.raises(ValidationError, match="prior"):
             replace(model, prior_pos=prior)
+
+    @pytest.mark.parametrize("smoothing", [1e-15, SMALLEST_SMOOTHING])
+    def test_a_label_every_row_carries_may_have_a_prior_of_one(self, smoothing):
+        # (s + n) / (2s + n) rounds to 1 once s is below about n * 1.1e-16;
+        # the posterior is then num / num = 1 for every query
+        rng = np.random.Generator(np.random.PCG64(41))
+        points = rng.normal(size=(60, 3))
+        labels = rng.random((60, 3)) < 0.4
+        labels[:, 0] = True
+        model = fit_mlknn(points, labels, k_neighbors=5, smoothing=smoothing)
+        assert model.prior_pos[0] == 1.0
+        queries = np.vstack([points, rng.normal(size=(40, 3))])
+        scores = posterior_scores(model, queries)
+        assert np.all(scores[:, 0] == 1.0)
+        assert np.all(scores[:, 1:] < 1.0)
+        assert replace(model, prior_pos=[0.5, 1.0, 1.0]).prior_pos.tolist() == [0.5, 1.0, 1.0]
 
     def test_matches_oracle_tables(self):
         rng = np.random.Generator(np.random.PCG64(11))
@@ -194,6 +212,41 @@ class TestPosterior:
         scores = posterior_scores(model, rng.normal(size=2)[None])[0]
         assert np.all(scores > 0.0)
         assert np.all(scores < 1.0)
+
+
+    def test_table_matches_the_per_query_formula_bit_for_bit(self):
+        # the per-query formula posterior_scores replaced with its table:
+        # every (query, label) cell recomputes its likelihoods and posterior
+        def per_query(model, neighbors):
+            c = model.train_labels[neighbors].sum(axis=1)
+            s, k = model.smoothing, model.k_neighbors
+            cols = np.arange(model.label_count)
+            n_pos = model.freq_pos.sum(axis=1)
+            n_neg = model.freq_neg.sum(axis=1)
+            like_pos = (s + model.freq_pos[cols, c]) / (s * (k + 1) + n_pos)
+            like_neg = (s + model.freq_neg[cols, c]) / (s * (k + 1) + n_neg)
+            num = model.prior_pos * like_pos
+            return num / (num + (1.0 - model.prior_pos) * like_neg)
+
+        rng = np.random.Generator(np.random.PCG64(43))
+        low, high = np.log10(SMALLEST_SMOOTHING), 10.0
+        for trial in range(300):
+            k = int(rng.integers(1, 15))
+            n = int(rng.integers(k + 1, k + 30))
+            r = int(rng.integers(1, 6))
+            points = rng.normal(size=(n, 2))
+            labels = rng.random((n, r)) < rng.random()
+            labels[:, rng.random(r) < 0.2] = False  # labels no row carries
+            labels[:, rng.random(r) < 0.2] = True  # labels every row carries
+            smoothing = {0: SMALLEST_SMOOTHING, 1: 1e10}.get(trial, 10.0 ** rng.uniform(low, high))
+            model = fit_mlknn(points, labels, k_neighbors=k, smoothing=smoothing)
+            query = rng.normal(size=(int(rng.integers(0, 8)) if trial % 10 else 0, 2))
+            for q, neighbors in ((query, _kernels.knn(points, query, k)),
+                                 (points, model.train_neighbors)):
+                got = posterior_scores(model, q)
+                want = per_query(model, neighbors)
+                assert got.shape == want.shape == (q.shape[0], r)
+                assert got.tobytes() == want.tobytes(), (trial, k, smoothing)
 
 
 class TestBipartition:
