@@ -142,7 +142,6 @@ def train_vpcme(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
         member, mis, sets = _fit_member(ds, weights, cfg, l)
         error_rate = float(np.mean(mis))
         if cfg.boosting_enabled and error_rate > 0.0:
-            weights = weights.copy()
             weights[mis] *= 1.0 + error_rate
             weights /= weights.sum()
         members.append(member)
@@ -269,7 +268,7 @@ def load_model(path):
         try:
             cfg = VpcmeConfig(**json.loads(str(read("config"))))
             members, features = [], None
-            for i in range(int(read("member_count"))):
+            for i in range(checked_int("member_count", read("member_count")[()], 1)):
                 proj = ProjectionModel(
                     w=read(f"m{i}_w"),
                     eigenvalues=read(f"m{i}_eigenvalues"),

@@ -45,8 +45,8 @@ class MlknnModel:
         labels = frozen_array("train_labels", self.train_labels, bool, (n, None))
         r = labels.shape[1]
         prior = frozen_array("prior_pos", self.prior_pos, np.float64, (r,))
-        fpos = frozen_array("freq_pos", self.freq_pos, np.int64, (r, k + 1))
-        fneg = frozen_array("freq_neg", self.freq_neg, np.int64, (r, k + 1))
+        fpos = frozen_array("freq_pos", self.freq_pos, np.int64, (r, k + 1), bound=math.inf)
+        fneg = frozen_array("freq_neg", self.freq_neg, np.int64, (r, k + 1), bound=math.inf)
         pos_totals = labels.sum(axis=0)
         if not np.array_equal(fpos.sum(axis=1), pos_totals):
             raise ValidationError("freq_pos rows must sum to the per-label positive counts")

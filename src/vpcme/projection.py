@@ -12,6 +12,7 @@ BLAS at one thread, so their bits do not depend on the thread count.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,18 +22,12 @@ from .dataset import MultiLabelDataset
 from .errors import ValidationError, checked_array, checked_float, frozen_array
 
 
-@dataclass(frozen=True, eq=False)
-class ScatterPair:
-    """The two scatter matrices, of one shape, and the scaling r."""
+class ScatterPair(NamedTuple):
+    """The two scatter matrices and the scaling r, as a plain record."""
 
     s_cannot: np.ndarray
     s_must: np.ndarray
     scaling_r: float
-
-    def __post_init__(self):
-        s_cannot = frozen_array("s_cannot", self.s_cannot, np.float64, (None, None))
-        object.__setattr__(self, "s_must", frozen_array("s_must", self.s_must, np.float64, s_cannot.shape))
-        object.__setattr__(self, "s_cannot", s_cannot)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +70,7 @@ class ProjectionModel:
 
 
 def scatter_matrices(ds: MultiLabelDataset, sets: PairConstraintSets) -> ScatterPair:
-    """Average outer products of pair differences, and the scaling r.
+    """Average outer products of pair differences and the scaling r, as a ``ScatterPair``.
 
     Empty lists give zero matrices. r is the mean squared cannot-link
     distance over the mean squared must-link distance; it falls back to 1.0

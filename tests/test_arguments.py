@@ -27,7 +27,6 @@ from vpcme import (
     MultiLabelDataset,
     PairConstraintSets,
     ProjectionModel,
-    ScatterPair,
     SweepSpec,
     VpcmeConfig,
     f1_metric,
@@ -755,8 +754,6 @@ FROZEN_TYPES = {
                    lambda o: tuple(getattr(o, name) for name in MLKNN_ARRAYS)),
     "VpcmeModel": (lambda x, mean, scale: replace(MODEL, features=x, scaler=(mean, scale)),
                    (POINTS, np.zeros(2), np.ones(2)), lambda o: (o.features, *o.scaler)),
-    "ScatterPair": (lambda c, m: ScatterPair(c, m, 1.0), (np.eye(2), np.ones((2, 2))),
-                    lambda o: (o.s_cannot, o.s_must)),
 }
 
 

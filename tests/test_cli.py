@@ -531,7 +531,7 @@ class TestEntryPoint:
         arrays["member_count"] = "x"
         np.savez(model_path, **arrays)
         assert run_cli("predict", "--model", model_path, "--data", data_csv, "--labels", "3") == 2
-        message = f"{model_path}: not a vpcme-model/2 model file: invalid literal for int()"
+        message = f"{model_path}: not a vpcme-model/2 model file: member_count must be an integer, got np.str_('x')"
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -543,9 +543,13 @@ class TestEntryPoint:
             ("scaler_mean", None, "no 'scaler_mean' array"),
             ("features", lambda a: a[:-1], "train_labels must be a 2-D matrix of shape (44, any)"),
             ("features", None, "no 'features' array"),
+            # 30 counts moved from cell 0 to the last: the row sum holds
+            ("m0_freq_pos", lambda a: a + np.outer([1, 0, 0], [-30, 0, 0, 0, 0, 30]),
+             "freq_pos must hold entries in [0, inf), got -"),
+            ("member_count", lambda a: np.float64(2.5), "member_count must be an integer, got np.float64(2.5)"),
         ],
         ids=["scale-short", "scale-zero", "prior-long", "scale-alone", "features-short",
-             "features-missing"],
+             "features-missing", "negative-count", "fractional-member-count"],
     )
     def test_predict_rejects_an_archive_with_a_bad_scaler_or_prior(
         self, data_csv, tmp_path, capsys, key, edit, message

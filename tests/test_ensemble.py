@@ -493,6 +493,8 @@ class TestPersistence:
             lambda a: {"config": "not json"},
             lambda a: {"config": '{"ensemble_size": 2, "bogus": 1}'},
             lambda a: {"member_count": "x"},
+            lambda a: {"member_count": np.float64(2.5)},
+            lambda a: {"member_count": np.True_},
             lambda a: {"m0_w": np.ones(4)},
             lambda a: {"training_log": np.zeros((4, 2))},
             lambda a: {"training_log": a["training_log"] + [0.0, 0.5, 0.0, 0.0]},
@@ -501,10 +503,13 @@ class TestPersistence:
             lambda a: {"scaler_scale": np.zeros(4)},
             lambda a: {"m0_prior_pos": np.full(5, 0.5)},
             drop_last_label_of_m1,
+            # 30 counts moved from cell 0 to the last: the row sum holds
+            lambda a: {"m0_freq_pos": a["m0_freq_pos"] + np.outer([1, 0, 0], [-30, 0, 0, 0, 0, 30])},
         ],
-        ids=["config-not-json", "config-unknown-key", "member-count-not-int", "w-1d", "log-4x2",
-             "log-half-a-dim", "log-error-above-1",
-             "scale-2-of-4", "scale-zero", "prior-5-of-3", "m1-one-label-short"],
+        ids=["config-not-json", "config-unknown-key", "member-count-not-int", "member-count-2.5",
+             "member-count-true", "w-1d", "log-4x2", "log-half-a-dim", "log-error-above-1",
+             "scale-2-of-4", "scale-zero", "prior-5-of-3", "m1-one-label-short",
+             "m0-freq-pos-negative"],
     )
     def test_archive_with_a_malformed_array_is_not_a_model(self, tmp_path, edit):
         ds = small_dataset(seed=33)
@@ -518,6 +523,41 @@ class TestPersistence:
         message = f"{path}: not a vpcme-model/2 model file: "
         with pytest.raises(ValidationError, match=re.escape(message)):
             load_model(path)
+
+    def test_every_archive_it_loads_scores_within_the_unit_interval(self, tmp_path):
+        # single-cell edits of a saved model: a count moved to another cell
+        # of its row, so the row-sum checks cannot catch it, or a prior drawn
+        # from [-1, 2]; load_model rejects the edit or the scores stay in [0, 1]
+        ds = synthetic_dataset(80, 5, 3, seed=0)
+        path = str(tmp_path / "model.npz")
+        save_model(train_vpcme(ds, quick_cfg(ensemble_size=2)), path)
+        with np.load(path) as data:
+            saved = {key: data[key] for key in data.files}
+        rng = np.random.Generator(np.random.PCG64(43))
+        priors = [0.0, 1.0, np.nextafter(1.0, 2.0), *rng.uniform(-1.0, 2.0, 97)]
+        outcomes = {"rejected": 0, "loaded": 0}
+        for edit in range(300):
+            name = "prior_pos" if edit < 100 else rng.choice(["freq_pos", "freq_neg"])
+            key = f"m{rng.integers(2)}_{name}"
+            arrays = dict(saved, **{key: saved[key].copy()})
+            table, row = arrays[key], rng.integers(3)
+            if edit < 100:
+                table[row] = priors[edit]
+            else:
+                src, dst = rng.choice(table.shape[1], 2, replace=False)
+                amount = rng.integers(1, table[row, src] + 40)
+                table[row, src] -= amount
+                table[row, dst] += amount
+            np.savez(path, **arrays)
+            try:
+                model = load_model(path)
+            except ValidationError:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["loaded"] += 1
+            for scores in (*member_scores(model, ds.features), predict_ensemble(model, ds.features)[1]):
+                assert np.all((scores >= 0.0) & (scores <= 1.0)), (key, edit)
+        assert min(outcomes.values()) > 50, outcomes
 
 
 class TestModelValidation:

@@ -123,6 +123,16 @@ class TestFit:
         with pytest.raises(ValidationError, match="prior"):
             replace(model, prior_pos=prior)
 
+    @pytest.mark.parametrize("table", ["freq_pos", "freq_neg"])
+    def test_model_rejects_a_negative_count_whose_row_sum_holds(self, table):
+        # cell 0 gives cell 1 one count more than it holds: the row sums hold
+        model = one_d_model()
+        counts = getattr(model, table).copy()
+        counts[0] += [-(counts[0, 0] + 1), counts[0, 0] + 1]
+        assert np.array_equal(counts.sum(axis=1), getattr(model, table).sum(axis=1))
+        with pytest.raises(ValidationError, match=rf"^{table} must hold entries in \[0, inf\), got -1$"):
+            replace(model, **{table: counts})
+
     @pytest.mark.parametrize("smoothing", [1e-15, SMALLEST_SMOOTHING])
     def test_a_label_every_row_carries_may_have_a_prior_of_one(self, smoothing):
         # (s + n) / (2s + n) rounds to 1 once s is below about n * 1.1e-16;

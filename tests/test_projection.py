@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vpcme
 from vpcme.constraints import ConstraintConfig, PairConstraintSets, sample_constraints
 from vpcme.dataset import MultiLabelDataset, synthetic_dataset
 from vpcme.errors import ValidationError
@@ -57,14 +58,18 @@ class TestScatterMatrices:
             evals, _ = symmetric_eigen(s)
             assert evals.min() > -1e-10
 
+    def test_returns_a_plain_record(self):
+        ds = toy_dataset()
+        pair = scatter_matrices(ds, PairConstraintSets(must=pairs((0, 2)), cannot=pairs((0, 1))))
+        assert type(pair) is ScatterPair and vpcme.ScatterPair is ScatterPair
+        s_cannot, s_must, scaling_r = pair
+        assert s_cannot is pair.s_cannot and s_must is pair.s_must and scaling_r == 4.0
+        assert s_cannot.flags.writeable and s_must.flags.writeable
+
     def test_index_out_of_range(self):
         ds = toy_dataset()
         with pytest.raises(ValidationError):
             scatter_matrices(ds, PairConstraintSets(must=pairs((0, 9)), cannot=pairs()))
-
-    def test_matrices_share_one_shape(self):
-        with pytest.raises(ValidationError, match=r"^s_must must be a 2-D matrix of shape \(2, 2\), got shape \(3, 3\)$"):
-            ScatterPair(np.eye(2), np.eye(3), 1.0)
 
 
 class TestScalingCoefficient:
