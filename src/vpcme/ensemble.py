@@ -120,10 +120,11 @@ def _fit_member(ds, weights, cfg, member_index):
 
 def _fit_classifier(points, labels, cfg):
     """MLKNN on ``points`` plus the training rows it gets wrong (exact label
-    set): the member's training self-prediction is its one-member vote."""
+    set): the member's training self-prediction is its one-member vote. That
+    call reads the fit's neighbor table; the member keeps no table after it."""
     classifier = fit_mlknn(points, labels, cfg.k_neighbors, cfg.smoothing)
     bipartition, _ = majority_vote([posterior_scores(classifier, points)])
-    return classifier, (bipartition != labels).any(axis=1)
+    return replace(classifier, train_neighbors=None), (bipartition != labels).any(axis=1)
 
 
 def train_vpcme(ds: MultiLabelDataset, cfg: VpcmeConfig) -> VpcmeModel:
@@ -272,7 +273,7 @@ def load_model(path):
                 proj = ProjectionModel(
                     w=read(f"m{i}_w"),
                     eigenvalues=read(f"m{i}_eigenvalues"),
-                    scaling_r=float(read(f"m{i}_scaling_r")),
+                    scaling_r=read(f"m{i}_scaling_r")[()],
                 )
                 if features is None:  # after member 0's projection: a bare archive names m0_w
                     features = frozen_array("features", read("features"), np.float64, (None, None))

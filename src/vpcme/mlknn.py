@@ -29,11 +29,10 @@ class MlknnModel:
     prior_pos: np.ndarray
     freq_pos: np.ndarray
     freq_neg: np.ndarray
-    # Each training row's k nearest training rows, itself included: the
-    # neighbors posterior_scores would search for the training rows. Set by
-    # fit_mlknn from the same search it counts with, so that scoring the
-    # training set needs no second search; None for a model rebuilt from
-    # its saved arrays.
+    # Each training row's k nearest training rows, itself included, from the
+    # search fit_mlknn counts with: posterior_scores reads it for the training
+    # rows in place of a second search. It lives until the ensemble member's
+    # self-prediction; members of a trained or loaded VpcmeModel hold None.
     train_neighbors: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):

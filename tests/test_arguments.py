@@ -403,6 +403,7 @@ def test_numpy_bool_experiment_config_is_json_ready():
 DATASET = MultiLabelDataset(POINTS, LABELS)
 MODEL = train_single_mlknn(DATASET, VpcmeConfig(k_neighbors=2))
 PROJECTION, CLASSIFIER = MODEL.members[0]
+FITTED = fit_mlknn(POINTS, LABELS, 2)  # CLASSIFIER's values, with the fit's neighbor table
 RANKS = rank_from_scores(POINTS)
 
 # entry point -> (a valid value, call, finite entries required)
@@ -521,8 +522,8 @@ ARRAY_ENTRY_POINTS = {
     "MlknnModel.prior_pos": (CLASSIFIER.prior_pos, lambda v: replace(CLASSIFIER, prior_pos=v), True, 0),
     "MlknnModel.freq_pos": (CLASSIFIER.freq_pos, lambda v: replace(CLASSIFIER, freq_pos=v), False, 1),
     "MlknnModel.freq_neg": (CLASSIFIER.freq_neg, lambda v: replace(CLASSIFIER, freq_neg=v), False, 1),
-    "MlknnModel.train_neighbors": (CLASSIFIER.train_neighbors,
-                                   lambda v: replace(CLASSIFIER, train_neighbors=v), False, 0),
+    "MlknnModel.train_neighbors": (FITTED.train_neighbors,
+                                   lambda v: replace(FITTED, train_neighbors=v), False, 0),
     "MlknnModel.train_labels": (LABELS, lambda v: replace(CLASSIFIER, train_labels=v), False, 0),
     "fit_mlknn.labels": (LABELS, lambda v: fit_mlknn(POINTS, v, 2), False, 0),
     "MultiLabelDataset.labels": (LABELS, lambda v: MultiLabelDataset(POINTS, v), False, 0),
@@ -670,10 +671,10 @@ def test_scatter_matrices_takes_pair_indices_of_its_rows_only():
 
 @pytest.mark.parametrize("index", [-1, 8], ids=["negative", "past-the-end"])
 def test_a_neighbor_table_takes_indices_of_the_training_rows_only(index):
-    table = CLASSIFIER.train_neighbors.copy()
+    table = FITTED.train_neighbors.copy()
     table[3, 1] = index
     with pytest.raises(ValidationError, match=re.escape(f"train_neighbors must hold entries in [0, 8), got {index}")):
-        replace(CLASSIFIER, train_neighbors=table)
+        replace(FITTED, train_neighbors=table)
 
 
 @pytest.mark.parametrize("scores", [[], np.empty((0, 8, 2))], ids=["empty-list", "no-members"])
@@ -749,8 +750,8 @@ FROZEN_TYPES = {
     "PairConstraintSets": (PairConstraintSets, (PAIRS, PAIRS[::-1]), lambda o: (o.must, o.cannot)),
     "ProjectionModel": (lambda w, e: ProjectionModel(w, e, 1.0), (np.eye(2), np.array([1.0, 0.5])),
                         lambda o: (o.w, o.eigenvalues)),
-    "MlknnModel": (lambda *arrays: replace(CLASSIFIER, **dict(zip(MLKNN_ARRAYS, arrays))),
-                   tuple(getattr(CLASSIFIER, name) for name in MLKNN_ARRAYS),
+    "MlknnModel": (lambda *arrays: replace(FITTED, **dict(zip(MLKNN_ARRAYS, arrays))),
+                   tuple(getattr(FITTED, name) for name in MLKNN_ARRAYS),
                    lambda o: tuple(getattr(o, name) for name in MLKNN_ARRAYS)),
     "VpcmeModel": (lambda x, mean, scale: replace(MODEL, features=x, scaler=(mean, scale)),
                    (POINTS, np.zeros(2), np.ones(2)), lambda o: (o.features, *o.scaler)),

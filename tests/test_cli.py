@@ -547,9 +547,10 @@ class TestEntryPoint:
             ("m0_freq_pos", lambda a: a + np.outer([1, 0, 0], [-30, 0, 0, 0, 0, 30]),
              "freq_pos must hold entries in [0, inf), got -"),
             ("member_count", lambda a: np.float64(2.5), "member_count must be an integer, got np.float64(2.5)"),
+            ("m0_scaling_r", lambda a: np.array("2.5"), "scaling_r must be a real number, got np.str_('2.5')"),
         ],
         ids=["scale-short", "scale-zero", "prior-long", "scale-alone", "features-short",
-             "features-missing", "negative-count", "fractional-member-count"],
+             "features-missing", "negative-count", "fractional-member-count", "string-scaling-r"],
     )
     def test_predict_rejects_an_archive_with_a_bad_scaler_or_prior(
         self, data_csv, tmp_path, capsys, key, edit, message

@@ -1,11 +1,12 @@
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from vpcme import _kernels
 from vpcme.constraints import ConstraintConfig, sample_constraints
 from vpcme.dataset import MultiLabelDataset, synthetic_dataset
 from vpcme.ensemble import (
@@ -20,6 +21,7 @@ from vpcme.ensemble import (
     train_vpcme,
 )
 from vpcme.errors import ConfigError, ValidationError
+from vpcme.harness import METHODS, ExperimentConfig, train_method
 from vpcme.metrics import rank_from_scores
 from vpcme.mlknn import MlknnModel, fit_mlknn, posterior_scores
 from vpcme.projection import ProjectionModel, fit_projection, transform
@@ -33,6 +35,13 @@ def quick_cfg(**overrides):
     base = dict(ensemble_size=3, theta=0.6, k_neighbors=5, smoothing=1.0, seed=7)
     base.update(overrides)
     return VpcmeConfig(**base)
+
+
+def state(obj):
+    """Each field of a frozen type, an array as its (dtype, shape, bytes)."""
+    def value(v):
+        return (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+    return {f.name: value(getattr(obj, f.name)) for f in fields(obj)}
 
 
 def drop_last_label_of_m1(arrays):
@@ -146,6 +155,25 @@ class TestTraining:
                 assert np.array_equal(want, got)
             for want, got in zip(predict_ensemble(small, x), majority_vote(scores[:s]), strict=True):
                 assert (want.dtype, want.shape, want.tobytes()) == (got.dtype, got.shape, got.tobytes())
+
+    @pytest.mark.parametrize("trainer", [train_vpcme, train_single_mlknn], ids=["vpcme", "mlknn_single"])
+    def test_training_searches_once_per_member(self, monkeypatch, trainer):
+        # each member's self-prediction reads its fit's neighbor table, so
+        # the fit's search is the member's one search; afterwards the
+        # training rows are a query like any other, one search per member
+        ds = synthetic_dataset(80, 5, 3, seed=0)
+        searched, knn = [], _kernels.knn
+
+        def counted(train, queries, k):
+            searched.append(len(queries))
+            return knn(train, queries, k)
+
+        monkeypatch.setattr(_kernels, "knn", counted)
+        model = trainer(ds, quick_cfg())
+        s = len(model.members)
+        assert searched == [80] * s
+        predict_ensemble(model, ds.features)
+        assert searched == [80] * (2 * s)
 
     def test_too_few_instances_for_k(self):
         ds = small_dataset(n=5)
@@ -422,6 +450,31 @@ class TestPersistence:
         save_model(loaded, again)
         assert again.read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("zscore", [False, True], ids=["plain", "zscore"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_loaded_model_is_the_trained_model(self, tmp_path, method, zscore):
+        # trained and loaded ensembles are one state: every member holds the
+        # same arrays and no neighbor table, so any rows, the training rows
+        # included, score through the one search path
+        for seed in range(3):
+            ds = synthetic_dataset(50 + 15 * seed, 6, 4, seed=seed, label_noise=0.05)
+            fresh = synthetic_dataset(20, 6, 4, seed=seed + 10).features
+            cfg = ExperimentConfig(method=method, ensemble_size=3, k_neighbors=4, zscore=zscore)
+            model = train_method(cfg, ds, seed)
+            save_model(model, tmp_path / "model.npz")
+            loaded = load_model(tmp_path / "model.npz")
+            for (proj, classifier), (got_proj, got_classifier) in zip(model.members, loaded.members, strict=True):
+                assert classifier.train_neighbors is None and got_classifier.train_neighbors is None
+                assert state(got_proj) == state(proj)
+                assert state(got_classifier) == state(classifier)
+            assert (loaded.config, loaded.training_log) == (model.config, model.training_log)
+            assert loaded.features.tobytes() == model.features.tobytes()
+            assert [a.tobytes() for a in loaded.scaler or ()] == [a.tobytes() for a in model.scaler or ()]
+            assert (loaded.scaler is None) == (model.scaler is None) == (not zscore)
+            for rows in (ds.features, fresh):
+                for want, got in zip(predict_ensemble(model, rows), predict_ensemble(loaded, rows), strict=True):
+                    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
     def test_round_trip_bit_exact_predictions(self, tmp_path):
         ds = small_dataset(seed=29)
         model = train_vpcme(ds, quick_cfg())
@@ -505,11 +558,13 @@ class TestPersistence:
             drop_last_label_of_m1,
             # 30 counts moved from cell 0 to the last: the row sum holds
             lambda a: {"m0_freq_pos": a["m0_freq_pos"] + np.outer([1, 0, 0], [-30, 0, 0, 0, 0, 30])},
+            lambda a: {"m0_scaling_r": np.array("2.5")},
+            lambda a: {"m1_scaling_r": np.array(True)},
         ],
         ids=["config-not-json", "config-unknown-key", "member-count-not-int", "member-count-2.5",
              "member-count-true", "w-1d", "log-4x2", "log-half-a-dim", "log-error-above-1",
              "scale-2-of-4", "scale-zero", "prior-5-of-3", "m1-one-label-short",
-             "m0-freq-pos-negative"],
+             "m0-freq-pos-negative", "m0-scaling-r-string", "m1-scaling-r-true"],
     )
     def test_archive_with_a_malformed_array_is_not_a_model(self, tmp_path, edit):
         ds = small_dataset(seed=33)
