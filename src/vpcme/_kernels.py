@@ -29,11 +29,13 @@ KNN_EXTRA = 8
 # 2^16 to 2^21: 33.2, 29.0, 28.0, 28.4, 31.8, 38.6 ms; at the scene shape
 # (1925 x 126): 63.6, 55.7, 51.5, 48.2, 55.8, 74.8 ms.
 # Unless a larger freed block has lifted glibc's mmap and trim thresholds, as
-# the CLI's CSV parse does, a block's two temporaries go back to the system
-# between blocks and are faulted in afresh. Yeast shape, 5 folds, 1 repeat,
-# 2 workers, getrusage per op after a warm-up: `vpcme cv` in-process faults
-# about 10 times per op, at 1 and at 30 members; a library cross_validate at
-# 30 members, 0.69-0.76 M times per repeat, with 1.26-1.41 s system of 5.8-6.0 s.
+# the CLI's parse of a full-precision CSV does, a block's two temporaries go
+# back to the system between blocks and are faulted in afresh. Yeast shape,
+# 5 folds, 1 repeat, 2 workers, getrusage per op after a warm-up: `vpcme cv`
+# in-process faults 10-900 times per op at 1 and at 30 members, but 19k
+# times (40 ms system) on the same rows written at 4 decimals (1.9 MB, not
+# 4.9 MB), as the real yeast file is; a library cross_validate at 30 members,
+# 0.69-0.76 M times per repeat, with 1.26-1.41 s system of 5.8-6.0 s.
 KNN_BLOCK = 1 << 19
 
 

@@ -9,6 +9,7 @@ stderr only.
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, fields
@@ -106,15 +107,14 @@ def _experiment_config(args, **overrides) -> ExperimentConfig:
 
 
 def _document(command: str, args, config: dict, body: dict) -> dict:
-    doc = {
+    return {
         "schema": REPORT_SCHEMA,
         "command": command,
         "version": __version__,
         "backend": REPORT_BACKEND,
         "config": {"data": args.data, "label_count": args.labels, **config},
+        **body,
     }
-    doc.update(body)
-    return doc
 
 
 def _write(text: str, out_path) -> None:
@@ -131,8 +131,6 @@ def _emit(doc: dict, out_path) -> None:
 
 def _print_metric_table(rows):
     """Aligned metric table on stderr: one row per (label, report)."""
-    if not rows:
-        return
     names = list(rows[0][1].metrics.keys())
     header = ["run"] + names
     widths = [max(len(header[0]), max(len(str(r[0])) for r in rows))]
@@ -165,8 +163,7 @@ def _cmd_stats(args):
 def _cmd_cv(args):
     cfg = _experiment_config(args)
     report = cross_validate(cfg, load_csv(args.data, args.labels))
-    doc = _document("cv", args, asdict(cfg), report.to_dict())
-    _emit(doc, args.out)
+    _emit(_document("cv", args, asdict(cfg), report.to_dict()), args.out)
     _print_metric_table([(cfg.method, report)])
 
 
@@ -181,8 +178,7 @@ def _cmd_sweep(args):
             {"value": value, **report.to_dict()} for value, report in results
         ],
     }
-    doc = _document(args.command, args, asdict(cfg), body)
-    _emit(doc, args.out)
+    _emit(_document(args.command, args, asdict(cfg), body), args.out)
     _print_metric_table([(f"{parameter}={value}", report) for value, report in results])
 
 
@@ -196,8 +192,7 @@ def _cmd_compare(args):
         "results": {m: r.to_dict() for m, r in comparison["reports"].items()},
         "tests": comparison["tests"],
     }
-    doc = _document("compare", args, asdict(cfg), body)
-    _emit(doc, args.out)
+    _emit(_document("compare", args, asdict(cfg), body), args.out)
     _print_metric_table([(m, comparison["reports"][m]) for m in comparison["methods"]])
 
 
@@ -227,7 +222,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
-    try:
+    try:  # a path that cannot be written fails before the work, not after it
+        if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
+            raise VpcmeError(f"--out must name a file in an existing directory, got {args.out}")
         args.handler(args)
     except (VpcmeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

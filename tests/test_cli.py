@@ -206,6 +206,17 @@ class TestCv:
         assert "error: smoothing must be finite and positive, got nan" in err
         assert "nope.csv" not in err
 
+    @pytest.mark.parametrize("out", ["missing/cv.json", "."], ids=["missing-directory", "a-directory"])
+    def test_an_unwritable_out_fails_before_the_run(self, data_csv, tmp_path, capsys, monkeypatch, out):
+        def no_run(*args):
+            raise AssertionError("cross_validate ran")
+
+        monkeypatch.setattr("vpcme.cli.cross_validate", no_run)
+        out = os.path.join(str(tmp_path), out)
+        assert run_cli("cv", "--data", data_csv, "--labels", "3", "--out", out) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(str(tmp_path), "missing"))
+
     @pytest.mark.parametrize("smoothing", ["1e-15", "1e-300"])
     def test_a_label_every_row_carries_runs_at_a_tiny_smoothing(self, tmp_path, smoothing):
         # its smoothed prior rounds to 1, which the model accepts

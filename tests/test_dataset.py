@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import tempfile
@@ -194,6 +195,91 @@ class TestLoadCsv:
         path = write(tmp_path, "1.0,2.0\n")
         with pytest.raises(ConfigError):
             load_features(path, label_count=-1)
+
+
+def line_by_line(path, label_count):
+    """The reader's contract, restated one line at a time with float():
+    (features, labels), or the CsvFormatError message of the first bad line."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        lines = handle.read().split("\n")
+    while lines and lines[-1].strip() == "":
+        lines.pop()
+    if not lines:
+        return f"{path}: file contains no data rows"
+    width = next(line for line in lines if line.strip()).count(",") + 1
+    if label_count >= width:
+        return f"{path}: label_count={label_count} leaves no feature columns (rows have {width} fields)"
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split(",")
+        if len(fields) != width:
+            return f"{path}: line {lineno} has {len(fields)} fields, expected {width}"
+        try:
+            row = [float(field) for field in fields]
+        except ValueError:
+            return f"{path}: line {lineno} has a non-numeric field"
+        for value in row[width - label_count:]:
+            if value not in (0.0, 1.0):  # NaN is neither
+                return f"{path}: line {lineno} has label value {value!r} outside {{0, 1}}"
+        if not all(math.isfinite(value) for value in row[: width - label_count]):
+            return f"{path}: line {lineno} has a non-finite feature"
+        rows.append(row)
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    return values[:, : width - label_count], values[:, width - label_count:] == 1.0
+
+
+GOOD_FEATURES = ["1.5", "-2.25", "0", "3", "1e-3", "-7.5E+2", "0.1", "123456789.125"]
+BAD_FEATURES = ["1_5", " 2.5", "4.0 ", "nan", "-inf", "inf", "#", "", "x", "1.0.0"]
+GOOD_LABELS = ["0", "1", "0.0", "1.0", "-0.0", "1e0"]
+BAD_LABELS = ["2", "0.5", "-1", "nan", "inf", "", "y"]
+
+
+def random_csv(rng):
+    """A small CSV text of cells from the menus above, with malformed rows,
+    blank lines, CRLF endings and a byte-order mark mixed in at random;
+    and a label_count, now and then one that leaves no feature columns."""
+    features, label_count = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+    bad = rng.random() < 0.6  # otherwise every cell and row is good
+
+    def cell(good, wrong):
+        return str(rng.choice(wrong if bad and rng.random() < 0.05 else good))
+
+    lines = []
+    for _ in range(int(rng.integers(1, 8))):
+        fields = [cell(GOOD_FEATURES, BAD_FEATURES) for _ in range(features)]
+        fields += [cell(GOOD_LABELS, BAD_LABELS) for _ in range(label_count)]
+        if bad and rng.random() < 0.04:
+            fields = fields[:-1]
+        if bad and rng.random() < 0.04:
+            fields.append("1")
+        lines.append("" if bad and rng.random() < 0.04 else ",".join(fields))
+    end = "\r\n" if rng.random() < 0.2 else "\n"
+    text = end.join(lines) + (end if rng.random() < 0.8 else "") + (end if rng.random() < 0.1 else "")
+    if rng.random() < 0.1:
+        text = "\ufeff" + text
+    return text, label_count + int(bad and rng.random() < 0.03) * features
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reader_matches_a_line_by_line_float_reader(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    malformed = 0
+    for i in range(150):
+        text, label_count = random_csv(rng)
+        path = write(tmp_path, text, f"random{i}.csv")
+        expected = line_by_line(path, label_count)
+        try:
+            got = load_features(path, label_count)
+        except CsvFormatError as exc:
+            got = str(exc)
+        if isinstance(expected, str):
+            malformed += 1
+            assert got == expected, text
+        else:
+            assert not isinstance(got, str), (text, got)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), text
+    assert 30 <= malformed <= 120  # both kinds of file are well represented
 
 
 class TestComputeStats:
