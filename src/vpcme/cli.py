@@ -208,10 +208,6 @@ def _cmd_train(args):
 def _cmd_predict(args):
     model = load_model(args.model)
     features, _ = load_features(args.data, args.labels)
-    if features.shape[1] != model.feature_count:
-        raise VpcmeError(
-            f"{args.data}: expected {model.feature_count} feature columns, got {features.shape[1]}"
-        )
     bipartitions, scores = predict_ensemble(model, features)
     r = model.label_count
     header = [f"score_{i}" for i in range(r)] + [f"pred_{i}" for i in range(r)]

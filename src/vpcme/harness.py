@@ -180,7 +180,6 @@ def _cross_validate(cfg, dataset, sizes):
         repeat, fold = unit
         test_idx = assignments[repeat].test_indices(fold)
         train_idx = assignments[repeat].train_indices(fold)
-        assert np.intersect1d(train_idx, test_idx).size == 0
         model = train_method(largest, dataset.subset(train_idx), _train_seed(cfg.seed, repeat, fold))
         truths, x = dataset.labels[test_idx], dataset.features[test_idx]
         scores = member_scores(model, x)

@@ -53,6 +53,7 @@ from vpcme import (
     train_single_mlknn,
     transform,
 )
+from vpcme._ttable import critical_value
 from vpcme.cli import main
 from vpcme.errors import (
     ConfigError,
@@ -686,6 +687,38 @@ def test_majority_vote_needs_a_member(scores):
 def test_a_fractional_frequency_table_is_rejected():
     with pytest.raises(ValidationError, match="^freq_pos must hold integers, got float64 entries$"):
         replace(CLASSIFIER, freq_pos=CLASSIFIER.freq_pos + 0.5)
+
+
+# Value rules past the shape checks: each call is well formed but breaks one
+# rule, which names it.
+
+ONE_CELL = np.zeros_like(FITTED.freq_pos)
+ONE_CELL[1, 0] = 1  # one count more in one cell: that label's row sum breaks
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: critical_value(0), ValueError, "degrees of freedom must be at least 1",
+                 id="critical_value-df-0"),
+    pytest.param(lambda: sample(np.array([-0.125, 0.375] + [0.125] * 6)), ValidationError,
+                 "weights must be non-negative", id="sample_constraints-negative-weight"),
+    pytest.param(lambda: MultiLabelDataset(np.zeros((0, 2)), np.zeros((0, 2))), ValidationError,
+                 "dataset needs at least one instance", id="MultiLabelDataset-no-rows"),
+    pytest.param(lambda: MultiLabelDataset(np.zeros((8, 0)), LABELS), ValidationError,
+                 "dataset needs at least one feature column", id="MultiLabelDataset-no-features"),
+    pytest.param(lambda: ranking_loss([[1, 0, 1]], [[1, 1, 3]]), ValidationError,
+                 "each rank row must be a permutation of 1..M", id="ranking_loss-repeated-rank"),
+    pytest.param(lambda: replace(FITTED, freq_pos=FITTED.freq_pos + ONE_CELL), ValidationError,
+                 "freq_pos rows must sum to the per-label positive counts", id="MlknnModel-freq_pos-sum"),
+    pytest.param(lambda: replace(FITTED, freq_neg=FITTED.freq_neg + ONE_CELL), ValidationError,
+                 "freq_neg rows must sum to the per-label negative counts", id="MlknnModel-freq_neg-sum"),
+    pytest.param(lambda: ProjectionModel(np.zeros((3, 0)), np.zeros(0), 1.0), ValidationError,
+                 "reduced dimension 0 outside [1, 3]", id="ProjectionModel-no-columns"),
+    pytest.param(lambda: ProjectionModel(np.eye(3)[:2], np.ones(3), 1.0), ValidationError,
+                 "reduced dimension 3 outside [1, 2]", id="ProjectionModel-more-columns-than-rows"),
+])
+def test_a_value_rule_names_what_it_rejects(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_nan_eigenvalues_are_rejected():

@@ -332,6 +332,9 @@ class TestTrainPredict:
         with open(bad, "w") as handle:
             handle.write("1.0,2.0\n")
         assert run_cli("predict", "--model", model_path, "--data", bad) == 2
+        # the model owns the width rule: its message, not a second one of the CLI's
+        err = capsys.readouterr().err
+        assert "shape (any, 3)" in err and "got shape (1, 2)" in err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_predict_rejects_non_finite_features(self, data_csv, tmp_path, capsys, bad):

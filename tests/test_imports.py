@@ -5,7 +5,9 @@ Every name a module imports from a sibling is used in it; ``__init__.py``,
 whose imports are the package's public names, is exempt. Only ``errors.py``
 freezes arrays: every other module keeps them through ``frozen_array``.
 Each argument rule listed below is written once, in one module, which the
-others defer to, and no ``raise`` message is written twice. The package imports only the standard library and numpy."""
+others defer to, and no ``raise`` message is written twice. No module holds
+an ``assert``: every rule is a ``raise``, which ``python -O`` keeps. The
+package imports only the standard library and numpy."""
 
 import ast
 import sys
@@ -161,6 +163,30 @@ def test_a_repeated_raise_message_is_caught():
         ),
     }
     assert repeated_messages(sources) == {"f'{x} is too big'": [("a.py", 4), ("b.py", 2)]}
+
+
+def assert_lines(source):
+    """Line of each ``assert`` statement, at any depth."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_holds_no_assert(path):
+    assert assert_lines(path.read_text()) == []
+
+
+def test_an_assert_is_caught():
+    source = (
+        "def f(x):\n"
+        "    if x < 0:\n"
+        "        raise ValueError('x must be non-negative')\n"
+        "    assert x.size, 'empty'\n"
+        "    return [y for y in x if y]  # assert in a comment\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        assert self\n"
+    )
+    assert assert_lines(source) == [4, 8]
 
 
 ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy"}
