@@ -19,6 +19,7 @@ from .dataset import (
     kfold_split,
     load_csv,
     load_features,
+    open_output,
     save_csv,
     synthetic_dataset,
 )

@@ -15,7 +15,7 @@ import time
 from dataclasses import asdict, fields
 
 from . import __version__
-from .dataset import compute_stats, format_rows, load_csv, load_features
+from .dataset import compute_stats, format_rows, load_csv, load_features, open_output
 from .ensemble import load_model, predict_ensemble, save_model
 from .errors import VpcmeError
 from .harness import (
@@ -119,7 +119,7 @@ def _document(command: str, args, config: dict, body: dict) -> dict:
 
 def _write(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
+        with open_output(out_path) as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

@@ -5,8 +5,11 @@ per line. The trailing ``label_count`` columns are 0/1 label indicators,
 everything before them is a numeric feature.
 """
 
+import contextlib
 import io
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,9 +165,26 @@ def format_rows(values, flags) -> str:
     )
 
 
+@contextlib.contextmanager
+def open_output(path, binary=False):
+    """``open(path, "w")`` (UTF-8 text, or bytes) without the truncate to zero,
+    which waits about 60 ms on ext4 after a recent write: the file is rewritten
+    in place and, if regular, cut on exit at the last byte written, even when
+    the write raised. Links keep their inode; the umask sets a new file's mode."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", encoding="utf-8") as handle:
+        try:
+            yield handle
+        finally:
+            handle.flush()
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # never a device or a pipe
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def save_csv(ds: MultiLabelDataset, path) -> None:
-    """Write a dataset in the load_csv format; floats keep full precision."""
-    with open(path, "w", encoding="utf-8") as handle:
+    """Write a dataset in the load_csv format; floats keep full precision.
+    The file is rewritten in place and cut at its last byte (:func:`open_output`)."""
+    with open_output(path) as handle:
         handle.write(format_rows(ds.features, ds.labels))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._kernels import parallel_map
 from .constraints import ConstraintConfig, sample_constraints
-from .dataset import MultiLabelDataset
+from .dataset import MultiLabelDataset, open_output
 from .errors import ConfigError, ValidationError, checked_array, checked_bool, checked_int, frozen_array
 from .mlknn import DEFAULT_K, DEFAULT_SMOOTHING, MlknnModel, checked_smoothing, fit_mlknn, posterior_scores
 from .projection import ProjectionModel, fit_projection, transform
@@ -215,7 +215,8 @@ def predict_ensemble(model: VpcmeModel, x):
 def save_model(model: VpcmeModel, path) -> None:
     """Write a ``vpcme-model/2`` archive, which predicts bit-exactly once loaded:
     the training features and labels once, and each member's projection and
-    MLKNN tables."""
+    MLKNN tables. The file is rewritten in place and cut at its last byte
+    (:func:`~vpcme.dataset.open_output`)."""
     payload = {
         "format": MODEL_FORMAT,
         "config": json.dumps(asdict(model.config), sort_keys=True),
@@ -233,7 +234,7 @@ def save_model(model: VpcmeModel, path) -> None:
         payload[f"m{i}_prior_pos"] = classifier.prior_pos
         payload[f"m{i}_freq_pos"] = classifier.freq_pos
         payload[f"m{i}_freq_neg"] = classifier.freq_neg
-    with open(path, "wb") as handle:
+    with open_output(path, binary=True) as handle:  # zipfile ends at the archive's last byte
         np.savez(handle, **payload)
 
 

@@ -461,6 +461,50 @@ class TestTrainPredict:
         assert scores.shape == (200, 4) and np.all(np.isfinite(scores))
 
 
+class TestOutputRewrite:
+    """Every ``--out`` is rewritten in place: over a longer stale file it
+    holds exactly the bytes a fresh write gives, and a device is never cut."""
+
+    @pytest.fixture()
+    def model_path(self, data_csv, tmp_path):
+        path = str(tmp_path / "model.npz")
+        assert run_cli("train", "--data", data_csv, "--labels", "3", "--method", "mlknn_single",
+                       "--k", "5", "--out", path) == 0
+        return path
+
+    def argv(self, command, data_csv, model_path, out):
+        if command == "predict":
+            return ("predict", "--model", model_path, "--data", data_csv, "--labels", "3", "--out", out)
+        flags = ("--folds", "3", "--repeats", "1") if command == "cv" else ()
+        return (command, "--data", data_csv, "--labels", "3", "--ensemble-size", "2", "--k", "5",
+                "--seed", "4", *flags, "--out", out)
+
+    @pytest.mark.parametrize("command", ["cv", "predict", "train"])
+    def test_an_out_over_a_longer_file_holds_a_fresh_write(self, data_csv, model_path, tmp_path, command):
+        fresh, stale = tmp_path / "fresh.out", tmp_path / "stale.out"
+        assert run_cli(*self.argv(command, data_csv, model_path, str(fresh))) == 0
+        stale.write_bytes(b"\xff" * (2 * fresh.stat().st_size + 4096))
+        assert run_cli(*self.argv(command, data_csv, model_path, str(stale))) == 0
+        assert stale.read_bytes() == fresh.read_bytes()
+        if command == "train":
+            assert len(load_model(str(stale)).members) == 2
+
+    @pytest.mark.parametrize("command", ["cv", "predict"])
+    def test_an_out_of_dev_null_exits_zero(self, data_csv, model_path, command):
+        assert run_cli(*self.argv(command, data_csv, model_path, os.devnull)) == 0
+
+    def test_a_model_write_that_raises_leaves_only_its_bytes(self, data_csv, model_path, monkeypatch):
+        def savez_then_fail(handle, **arrays):
+            handle.write(b"PK partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez_then_fail)
+        model = load_model(model_path)
+        with pytest.raises(OSError, match="^disk full$"):
+            save_model(model, model_path)
+        assert Path(model_path).read_bytes() == b"PK partial"
+
+
 class TestEntryPoint:
     def test_module_invocation(self, data_csv):
         proc = subprocess.run(

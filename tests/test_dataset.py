@@ -15,6 +15,7 @@ from vpcme.dataset import (
     kfold_split,
     load_csv,
     load_features,
+    open_output,
     save_csv,
     synthetic_dataset,
 )
@@ -280,6 +281,70 @@ def test_reader_matches_a_line_by_line_float_reader(tmp_path, seed):
             for a, b in zip(got, expected):
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), text
     assert 30 <= malformed <= 120  # both kinds of file are well represented
+
+
+class TestOutputRewrite:
+    """``save_csv`` and every other writer go through ``open_output``, which
+    rewrites a file in place and cuts it at the last byte written."""
+
+    ds = synthetic_dataset(20, 3, 2, seed=8)
+
+    def fresh_bytes(self, tmp_path):
+        save_csv(self.ds, str(tmp_path / "fresh.csv"))
+        return (tmp_path / "fresh.csv").read_bytes()
+
+    def test_save_csv_over_a_longer_file_leaves_a_fresh_write(self, tmp_path):
+        fresh = self.fresh_bytes(tmp_path)
+        stale = tmp_path / "stale.csv"
+        stale.write_bytes(b"9" * (3 * len(fresh)))
+        save_csv(self.ds, str(stale))
+        assert stale.read_bytes() == fresh
+
+    @pytest.mark.parametrize("umask", [0o002, 0o022, 0o077])
+    def test_a_new_file_gets_the_mode_of_a_truncating_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            save_csv(self.ds, str(tmp_path / "new.csv"))
+        finally:
+            os.umask(old)
+        mode = os.stat(tmp_path / "new.csv").st_mode
+        assert mode == os.stat(tmp_path / "reference").st_mode
+        assert mode & 0o777 == 0o666 & ~umask
+
+    def test_a_symlinked_path_is_written_through_the_link(self, tmp_path):
+        fresh = self.fresh_bytes(tmp_path)
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"9" * (2 * len(fresh)))
+        link.symlink_to(target)
+        save_csv(self.ds, str(link))
+        assert link.is_symlink()
+        assert target.read_bytes() == fresh
+
+    def test_a_hard_linked_file_keeps_its_inode(self, tmp_path):
+        fresh = self.fresh_bytes(tmp_path)
+        path, other = tmp_path / "data.csv", tmp_path / "other.csv"
+        path.write_bytes(b"9" * (2 * len(fresh)))
+        os.link(path, other)
+        inode = os.stat(path).st_ino
+        save_csv(self.ds, str(path))
+        assert os.stat(path).st_ino == inode
+        assert other.read_bytes() == fresh
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+    def test_a_write_that_raises_leaves_only_what_it_wrote(self, tmp_path, binary):
+        path = tmp_path / "out"
+        path.write_bytes(b"old contents, longer than the new ones\n")
+        with pytest.raises(RuntimeError, match="^midway$"):
+            with open_output(str(path), binary=binary) as handle:
+                handle.write(b"new" if binary else "new")
+                raise RuntimeError("midway")
+        assert path.read_bytes() == b"new"
+
+    def test_a_device_is_written_and_never_cut(self):
+        with open_output(os.devnull) as handle:
+            handle.write("discarded\n")
 
 
 class TestComputeStats:

@@ -6,8 +6,10 @@ whose imports are the package's public names, is exempt. Only ``errors.py``
 freezes arrays: every other module keeps them through ``frozen_array``.
 Each argument rule listed below is written once, in one module, which the
 others defer to, and no ``raise`` message is written twice. No module holds
-an ``assert``: every rule is a ``raise``, which ``python -O`` keeps. The
-package imports only the standard library and numpy."""
+an ``assert``: every rule is a ``raise``, which ``python -O`` keeps. Files
+are written only through ``dataset.open_output``: no other code opens one
+for writing or calls ``os.open``. The package imports only the standard
+library and numpy."""
 
 import ast
 import sys
@@ -187,6 +189,57 @@ def test_an_assert_is_caught():
         "        assert self\n"
     )
     assert assert_lines(source) == [4, 8]
+
+
+def write_opens(source, helper=None):
+    """(line, call) of each call, outside the function named ``helper``, that
+    opens a file for writing: ``os.open``; ``write_text`` or ``write_bytes``;
+    or an ``open``, ``fdopen`` or ``.open`` whose mode holds w, a, x or + or
+    is not a literal."""
+    tree = ast.parse(source)
+    exempt = {id(node) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef) and func.name == helper for node in ast.walk(func)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
+        if (owner, name) == ("os", "open") or name in ("write_text", "write_bytes"):
+            found.append((node.lineno, ast.unparse(func)))
+        elif name in ("open", "fdopen"):
+            # open(path, mode), io.open and os.fdopen take the mode second, a method (Path.open) first
+            position = 1 if isinstance(func, ast.Name) or owner in ("io", "os") else 0
+            modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[position:position + 1]
+            mode = modes[0] if modes else ast.Constant("r")
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or set(mode.value) & set("wax+"):
+                found.append((node.lineno, ast.unparse(func)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_writes_files_only_through_open_output(path):
+    helper = "open_output" if path.name == "dataset.py" else None
+    assert write_opens(path.read_text(), helper) == []
+
+
+def test_a_write_open_is_caught():
+    source = (
+        "import io, os\n"
+        "def open_output(path):\n"
+        "    return os.fdopen(os.open(path, os.O_WRONLY), 'w')\n"
+        "def f(p, mode):\n"
+        "    open(p).read(), open(p, 'r', encoding='utf-8'), open(p, mode='rb'), np.load(p)\n"
+        "    open(p, 'w')\n"
+        "    open(p, mode='ab'), io.open(p, 'x'), os.fdopen(3, 'r+')\n"
+        "    Path(p).open('w'), Path(p).open(), p.write_text('x')\n"
+        "    open(p, mode), os.open(p, os.O_RDONLY)\n"
+    )
+    calls = [(6, "open"), (7, "io.open"), (7, "open"), (7, "os.fdopen"),
+             (8, "Path(p).open"), (8, "p.write_text"), (9, "open"), (9, "os.open")]
+    assert write_opens(source, "open_output") == sorted(calls)
+    assert write_opens(source) == sorted(calls + [(3, "os.fdopen"), (3, "os.open")])
 
 
 ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy"}
