@@ -24,18 +24,18 @@ import numpy as np
 KNN_EXTRA = 8
 # Elements in one block of screening values; bounds the search's memory and
 # keeps a block near cache. At 1933 training rows a block is 271 rows, 4 MB.
-# Self-search of a yeast-shaped training fold (1933 x 33, k = 10, one BLAS
-# thread, min of 15) on a 2-core Xeon VM with 2 MiB of L2 per core, from
-# 2^16 to 2^21: 33.2, 29.0, 28.0, 28.4, 31.8, 38.6 ms; at the scene shape
-# (1925 x 126): 63.6, 55.7, 51.5, 48.2, 55.8, 74.8 ms.
+# Self-search of a yeast-shaped training fold (1933 x 31, k = 10, one BLAS
+# thread, min of 15) on a 2-core AMD EPYC KVM guest (2 MiB of L2 per core,
+# 32 MiB of L3), from 2^16 to 2^21: 13.4, 12.1, 12.2, 12.9, 14.7, 16.1 ms;
+# at the scene shape (1925 x 129): 24.7, 22.2, 22.6, 25.8, 27.4, 30.9 ms.
 # Unless a larger freed block has lifted glibc's mmap and trim thresholds, as
 # the CLI's parse of a full-precision CSV does, a block's two temporaries go
 # back to the system between blocks and are faulted in afresh. Yeast shape,
 # 5 folds, 1 repeat, 2 workers, getrusage per op after a warm-up: `vpcme cv`
-# in-process faults 10-900 times per op at 1 and at 30 members, but 19k
-# times (40 ms system) on the same rows written at 4 decimals (1.9 MB, not
+# in-process faults 10-7k times per op at 1 and at 30 members, but 11k-27k
+# times (4-53 ms system) on the same rows written at 4 decimals (1.9 MB, not
 # 4.9 MB), as the real yeast file is; a library cross_validate at 30 members,
-# 0.69-0.76 M times per repeat, with 1.26-1.41 s system of 5.8-6.0 s.
+# 0.73-0.86 M times per repeat, with 0.63-0.76 s system of 2.8-3.1 s.
 KNN_BLOCK = 1 << 19
 
 

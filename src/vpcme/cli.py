@@ -73,13 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--values", default=None,
                    help="comma-separated thresholds (default 0.1..1.0 step 0.1)")
-    p.set_defaults(handler=_cmd_sweep)
+    p.set_defaults(handler=_cmd_sweep, parameter="theta", value_type=float)
 
     p = sub.add_parser("sweep-size", help="cross-validate over ensemble sizes")
     _add_common(p)
     p.add_argument("--values", default=None,
                    help="comma-separated sizes (default 1,10,20,30,40,50)")
-    p.set_defaults(handler=_cmd_sweep)
+    p.set_defaults(handler=_cmd_sweep, parameter="ensemble_size", value_type=int)
 
     p = sub.add_parser("compare", help="run methods on identical splits and t-test them")
     _add_common(p, method=False)
@@ -145,10 +145,9 @@ def _print_metric_table(rows):
         print("  ".join(cells), file=sys.stderr)
 
 
-def _parse_values(raw, parameter):
+def _parse_values(raw, kind):
     if raw is None:
         return None
-    kind = float if parameter == "theta" else int
     try:
         return tuple(kind(part) for part in raw.split(",") if part.strip() != "")
     except ValueError:
@@ -168,18 +167,17 @@ def _cmd_cv(args):
 
 
 def _cmd_sweep(args):
-    parameter = "theta" if args.command == "sweep-theta" else "ensemble_size"
     cfg = _experiment_config(args)
-    spec = SweepSpec(parameter=parameter, values=_parse_values(args.values, parameter))
+    spec = SweepSpec(parameter=args.parameter, values=_parse_values(args.values, args.value_type))
     results = run_sweep(cfg, spec, load_csv(args.data, args.labels))
     body = {
-        "sweep": {"parameter": parameter, "values": list(spec.values)},
+        "sweep": {"parameter": spec.parameter, "values": list(spec.values)},
         "results": [
             {"value": value, **report.to_dict()} for value, report in results
         ],
     }
     _emit(_document(args.command, args, asdict(cfg), body), args.out)
-    _print_metric_table([(f"{parameter}={value}", report) for value, report in results])
+    _print_metric_table([(f"{spec.parameter}={value}", report) for value, report in results])
 
 
 def _cmd_compare(args):

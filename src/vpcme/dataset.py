@@ -192,13 +192,12 @@ def compute_stats(ds: MultiLabelDataset) -> DatasetStats:
     """Instance/feature/label counts plus distinct, cardinality, density."""
     n = ds.instance_count
     r = ds.label_count
-    distinct = len({row.tobytes() for row in ds.labels})
     cardinality = float(ds.labels.sum()) / n
     return DatasetStats(
         instances=n,
         features=ds.feature_count,
         labels=r,
-        distinct=distinct,
+        distinct=np.unique(ds.labels, axis=0).shape[0],
         cardinality=cardinality,
         density=cardinality / r,
     )

@@ -22,6 +22,8 @@ from .mlknn import DEFAULT_K, DEFAULT_SMOOTHING, MlknnModel, checked_smoothing, 
 from .projection import ProjectionModel, fit_projection, transform
 
 MODEL_FORMAT = "vpcme-model/2"
+# each member's MLKNN tables by MlknnModel field name, in the archive's key order
+_MLKNN_TABLES = ("prior_pos", "freq_pos", "freq_neg")
 
 
 @dataclass(frozen=True)
@@ -104,12 +106,8 @@ class VpcmeModel:
         return self.members[0][1].label_count
 
 
-def _member_rng(seed: int, member: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, member])))
-
-
 def _fit_member(ds, weights, cfg, member_index):
-    rng = _member_rng(cfg.seed, member_index)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, member_index])))
     n = ds.instance_count
     constraint_cfg = ConstraintConfig(theta=cfg.theta, target_must=n, target_cannot=n)
     sets = sample_constraints(ds, weights, constraint_cfg, rng)
@@ -231,9 +229,8 @@ def save_model(model: VpcmeModel, path) -> None:
         payload[f"m{i}_w"] = proj.w
         payload[f"m{i}_eigenvalues"] = proj.eigenvalues
         payload[f"m{i}_scaling_r"] = np.float64(proj.scaling_r)
-        payload[f"m{i}_prior_pos"] = classifier.prior_pos
-        payload[f"m{i}_freq_pos"] = classifier.freq_pos
-        payload[f"m{i}_freq_neg"] = classifier.freq_neg
+        for name in _MLKNN_TABLES:
+            payload[f"m{i}_{name}"] = getattr(classifier, name)
     with open_output(path, binary=True) as handle:  # zipfile ends at the archive's last byte
         np.savez(handle, **payload)
 
@@ -280,8 +277,8 @@ def load_model(path):
                     features = frozen_array("features", read("features"), np.float64, (None, None))
                     labels = frozen_array("labels", read("labels"), bool, (None, None))
                 points = transform(proj, features)
-                tables = (read(f"m{i}_{name}") for name in ("prior_pos", "freq_pos", "freq_neg"))
-                members.append((proj, MlknnModel(cfg.k_neighbors, cfg.smoothing, points, labels, *tables)))
+                tables = {name: read(f"m{i}_{name}") for name in _MLKNN_TABLES}
+                members.append((proj, MlknnModel(cfg.k_neighbors, cfg.smoothing, points, labels, **tables)))
             log = read("training_log")
             has_scaler = "scaler_mean" in data or "scaler_scale" in data
             scaler = (read("scaler_mean"), read("scaler_scale")) if has_scaler else None

@@ -15,7 +15,7 @@ from vpcme.cli import main
 from vpcme.dataset import MultiLabelDataset, format_rows, load_csv, load_features, save_csv, synthetic_dataset
 from vpcme.ensemble import load_model, predict_ensemble, save_model
 from vpcme.errors import ValidationError
-from vpcme.harness import ExperimentConfig, train_method
+from vpcme.harness import DEFAULT_THETA_VALUES, ExperimentConfig, train_method
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -255,11 +255,23 @@ class TestSweeps:
         assert doc["config"]["data"] == data_csv
         assert doc["config"]["label_count"] == 3
 
+    def test_sweep_theta_default_values(self, data_csv, tmp_path):
+        out = str(tmp_path / "sweep.json")
+        assert run_cli(
+            "sweep-theta", "--data", data_csv, "--labels", "3",
+            "--ensemble-size", "1", "--folds", "2", "--repeats", "1", "--out", out,
+        ) == 0
+        doc = read_json(out)
+        jsonschema.validate(doc, SWEEP_SCHEMA)
+        assert doc["sweep"]["parameter"] == "theta"
+        assert doc["sweep"]["values"] == list(DEFAULT_THETA_VALUES)
+
     def test_bad_values_list(self, data_csv, capsys):
-        code = run_cli(
-            "sweep-size", "--data", data_csv, "--labels", "3", "--values", "a,b",
-        )
-        assert code == 2
+        for command, values, kind in (("sweep-size", "a,b", "ints"), ("sweep-size", "1.5", "ints"),
+                                      ("sweep-theta", "a", "floats")):
+            code = run_cli(command, "--data", data_csv, "--labels", "3", "--values", values)
+            assert code == 2
+            assert f"--values must be a comma-separated list of {kind}\n" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -365,6 +365,16 @@ class TestComputeStats:
         assert stats.density == 0.0
         assert stats.distinct == 1
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_distinct_counts_each_label_set_once(self, seed):
+        # a few random rows, each repeated, plus all-false rows; the count is
+        # checked against the label sets as row bytes
+        rng = np.random.Generator(np.random.PCG64(seed))
+        rows = rng.random((rng.integers(1, 6), 4)) < 0.5
+        labels = np.vstack([rows[rng.integers(len(rows), size=30)], np.zeros((3, 4), dtype=bool)])
+        ds = MultiLabelDataset(np.zeros((len(labels), 1)), labels[rng.permutation(len(labels))])
+        assert compute_stats(ds).distinct == len({row.tobytes() for row in ds.labels})
+
     def test_density_times_labels_is_cardinality(self):
         ds = synthetic_dataset(40, 3, 5, seed=2)
         stats = compute_stats(ds)

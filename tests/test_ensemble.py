@@ -582,7 +582,9 @@ class TestPersistence:
     def test_every_archive_it_loads_scores_within_the_unit_interval(self, tmp_path):
         # single-cell edits of a saved model: a count moved to another cell
         # of its row, so the row-sum checks cannot catch it, or a prior drawn
-        # from [-1, 2]; load_model rejects the edit or the scores stay in [0, 1]
+        # from [-1, 2]; load_model rejects the edit or the scores stay in [0, 1].
+        # Each edit gets its own file: a rewrite of one path would wait on the
+        # flush of the truncate before it
         ds = synthetic_dataset(80, 5, 3, seed=0)
         path = str(tmp_path / "model.npz")
         save_model(train_vpcme(ds, quick_cfg(ensemble_size=2)), path)
@@ -603,6 +605,7 @@ class TestPersistence:
                 amount = rng.integers(1, table[row, src] + 40)
                 table[row, src] -= amount
                 table[row, dst] += amount
+            path = str(tmp_path / f"model{edit}.npz")
             np.savez(path, **arrays)
             try:
                 model = load_model(path)
